@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .numerics import erf
+from .numerics import SQRT_PI, _check_domain, erf
 
 if TYPE_CHECKING:
     from .fixed_point import GMESolution
@@ -53,24 +53,12 @@ __all__ = [
     "approx_error",
 ]
 
-SQRT_PI = math.sqrt(math.pi)
-
-_DOMAIN_RTOL = 1e-12
-
 
 def _check_gamma_lam(gamma: float, lam: float) -> None:
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be finite and positive, got {lam}")
-
-
-def _check_eta(eta, lam: float):
-    pts = np.asarray(eta, dtype=float)
-    slack = _DOMAIN_RTOL * max(1.0, lam)
-    if np.any(pts < -slack) or np.any(pts > lam + slack):
-        raise ValueError(f"eta outside [0, {lam}]")
-    return pts
 
 
 def zero_order(eta, gamma: float, lam: float):
@@ -80,7 +68,7 @@ def zero_order(eta, gamma: float, lam: float):
     as gamma grows.
     """
     _check_gamma_lam(gamma, lam)
-    pts = _check_eta(eta, lam)
+    pts = _check_domain(eta, lam, "eta")
     nu = 2.0 + gamma * SQRT_PI * float(erf(lam))
     out = (2.0 + gamma * SQRT_PI * erf(pts)) / nu
     return float(out) if pts.ndim == 0 else out
@@ -152,7 +140,7 @@ def first_order(eta, coeffs: ApproxCoefficients):
     Satisfies the order-1 problem exactly: phi_1(lam) = 0 and the order-1
     flux condition at 0 hold to round-off by construction of c0 and c1.
     """
-    pts = _check_eta(eta, coeffs.lam)
+    pts = _check_domain(eta, coeffs.lam, "eta")
     out = (
         coeffs.c0
         + 0.5 * SQRT_PI * coeffs.c1 * erf(pts)

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +34,7 @@ from .stefan import (
     PhysicalParams,
     _solved,
     boundary_slope_ratio,
+    dirichlet_gap,
     front_position,
     solve_dirichlet,
     solve_stefan,
@@ -205,17 +205,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_dirichlet(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    dag = solve_dirichlet(args.beta, args.lam, config)
     rows = [["gamma", "sup_gap"]]
-    for gamma in args.gamma:
-        robin = _solved(args.beta, float(gamma), args.lam, config)
-        gap = float(np.max(np.abs(robin.phi.values - dag.phi.values)))
-        rows.append([_fmt(gamma), _fmt(gap)])
+    rows += [[_fmt(gamma), _fmt(gap)] for gamma, gap in dirichlet_gap(args.beta, args.lam, args.gamma, config)]
     _emit(_csv(rows), args.out)
 
     if args.curve_dir is not None:
         outdir = Path(args.curve_dir)
         outdir.mkdir(parents=True, exist_ok=True)
+        dag = solve_dirichlet(args.beta, args.lam, config)
         eta = dag.phi.nodes
         for gamma in args.gamma:
             robin = _solved(args.beta, float(gamma), args.lam, config)
@@ -241,38 +238,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not (betas and gammas and lams):
         raise ValueError("sweep lists beta, gamma, lambda must be non-empty")
     config = _config_from(args, spec.get("grid_n"))
-    tuples = list(itertools.product(betas, gammas, lams))
-
-    def solve_one(point: tuple[float, float, float]):
-        beta, gamma, lam = point
-        try:
-            return _solved(beta, gamma, lam, config), None
-        except (GmerfError, ValueError) as exc:
-            return None, exc
-
-    jobs = args.jobs if args.jobs is not None else min(8, len(tuples))
-    if jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    # pool.map keeps input order, so output rows follow the cartesian product
-    # of the spec lists regardless of completion order.
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(solve_one, tuples))
 
     rows = [["beta", "gamma", "lambda", "d_coeff", "phi_prime_lambda", "iterations", "residual", "status"]]
     saw_solver = saw_usage = False
-    for (beta, gamma, lam), (sol, exc) in zip(tuples, results):
+    for beta, gamma, lam in itertools.product(betas, gammas, lams):
         head = [_fmt(beta), _fmt(gamma), _fmt(lam)]
-        if exc is None:
-            rows.append(
-                head
-                + [_fmt(sol.d_coeff), _fmt(sol.phi_prime_lambda), _fmt(sol.iterations), _fmt(sol.residual), "ok"]
-            )
-        else:
+        try:
+            sol = _solved(beta, gamma, lam, config)
+        except (GmerfError, ValueError) as exc:
             rows.append(head + ["", "", "", "", _sanitize(str(exc))])
             if isinstance(exc, GmerfError):
                 saw_solver = True
             else:
                 saw_usage = True
+        else:
+            rows.append(
+                head
+                + [_fmt(sol.d_coeff), _fmt(sol.phi_prime_lambda), _fmt(sol.iterations), _fmt(sol.residual), "ok"]
+            )
     _emit(_csv(rows), args.out)
     if saw_solver:
         return EXIT_SOLVER
@@ -380,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--spec", required=True, help="JSON spec file with lists beta, gamma, lambda")
-    p.add_argument("--jobs", type=int, default=None, help="concurrent solves (default: min(8, points))")
+    p.add_argument("--jobs", type=int, default=None, help="accepted for compatibility, >= 1; solves run in order")
     _add_grid_out(p)
     p.set_defaults(func=_cmd_sweep)
 

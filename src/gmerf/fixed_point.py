@@ -37,7 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractionError, FixedPointError
-from .numerics import GridFunction, bracket_root, cumulative_integral, erf, find_root
+from .numerics import SQRT_PI, GridFunction, _cumint, bracket_root, erf, find_root
+# Unused here; kept bound because perfbench/tracing.py wraps it at this attribute.
+from .numerics import cumulative_integral  # noqa: F401
 
 __all__ = [
     "SolverConfig",
@@ -52,8 +54,6 @@ __all__ = [
     "lipschitz_bound",
     "solve_gme",
 ]
-
-SQRT_PI = math.sqrt(math.pi)
 
 # Slack for membership in the unit band K; absorbs one quadrature round-off.
 _BAND_TOL = 1e-9
@@ -153,16 +153,30 @@ def conductivity_profile(h: GridFunction, beta: float) -> GridFunction:
     return GridFunction(h.lam, 1.0 + beta * h.values)
 
 
-def _operator_integrals(h: GridFunction, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integrand weights E_h and their cumulative integral on the grid of h.
+def _apply(
+    v: np.ndarray, nodes: np.ndarray, step: float, beta: float, inv_gamma: float
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """The operator on node values: (T v, D_v, E_v).
 
-    E_h(x) = exp(-2 int_0^x s / Psi_h(s) ds) / Psi_h(x), Psi_h = 1 + beta h.
+    E_v(x) = exp(-2 int_0^x s / Psi_v(s) ds) / Psi_v(x), Psi_v = 1 + beta v,
+    and D_v = 1 / (1/gamma + int_0^lam E_v). The image is clipped at 1 and
+    pinned to 1 at lam. No checks: v must lie in the unit band, which T
+    maps into itself.
     """
-    psi = 1.0 + beta * h.values
-    inner = cumulative_integral(GridFunction(h.lam, h.nodes / psi)).values
-    weight = np.exp(-2.0 * inner) / psi
-    outer = cumulative_integral(GridFunction(h.lam, weight)).values
-    return weight, outer
+    psi = 1.0 + beta * v
+    weight = np.exp(-2.0 * _cumint(nodes / psi, step)) / psi
+    outer = _cumint(weight, step)
+    d = 1.0 / (inv_gamma + outer[-1])
+    tv = d * (inv_gamma + outer)
+    np.minimum(tv, 1.0, out=tv)
+    tv[-1] = 1.0
+    return tv, d, weight
+
+
+def _apply_checked(h: GridFunction, params: GMEParams, what: str) -> tuple[np.ndarray, float, np.ndarray]:
+    _require_unit_band(h, what)
+    _require_same_interval(h, params)
+    return _apply(h.values, h.nodes, h.step, params.beta, 1.0 / params.gamma)
 
 
 def normalizing_coefficient(h: GridFunction, params: GMEParams) -> float:
@@ -170,10 +184,7 @@ def normalizing_coefficient(h: GridFunction, params: GMEParams) -> float:
 
     Always in (0, gamma]; tends to gamma as lam -> 0.
     """
-    _require_unit_band(h)
-    _require_same_interval(h, params)
-    _, outer = _operator_integrals(h, params.beta)
-    return 1.0 / (1.0 / params.gamma + outer[-1])
+    return _apply_checked(h, params, "profile")[1]
 
 
 def fixed_point_map(h: GridFunction, params: GMEParams) -> GridFunction:
@@ -182,15 +193,7 @@ def fixed_point_map(h: GridFunction, params: GMEParams) -> GridFunction:
     The image is non-decreasing, starts at D_h / gamma (0 in the
     prescribed-value variant) and ends at exactly 1.
     """
-    _require_unit_band(h, "operator input")
-    _require_same_interval(h, params)
-    _, outer = _operator_integrals(h, params.beta)
-    inv_gamma = 1.0 / params.gamma
-    d = 1.0 / (inv_gamma + outer[-1])
-    vals = d * (inv_gamma + outer)
-    np.minimum(vals, 1.0, out=vals)
-    vals[-1] = 1.0
-    return GridFunction(h.lam, vals)
+    return GridFunction(h.lam, _apply_checked(h, params, "operator input")[0])
 
 
 def contraction_factor(x, gamma: float):
@@ -336,13 +339,16 @@ def solve_gme(
             f"allow_unproven=True to attempt the solve anyway"
         )
 
-    h = _seed_profile(params, config.grid_n)
+    # T maps the unit band into itself, so the loop runs on bare arrays with
+    # no per-step checks; GMESolution verifies the final profile.
+    seed = _seed_profile(params, config.grid_n)
+    v, nodes, step, inv_gamma = seed.values, seed.nodes, seed.step, 1.0 / params.gamma
     residual = math.inf
     iterations = 0
     for iterations in range(1, config.fp_max_iter + 1):
-        nh = fixed_point_map(h, params)
-        residual = float(np.max(np.abs(nh.values - h.values)))
-        h = nh
+        nv = _apply(v, nodes, step, params.beta, inv_gamma)[0]
+        residual = float(np.max(np.abs(nv - v)))
+        v = nv
         if residual <= config.fp_tol:
             break
     else:
@@ -353,11 +359,10 @@ def solve_gme(
             iterations=config.fp_max_iter,
         )
 
-    weight, outer = _operator_integrals(h, params.beta)
-    d = 1.0 / (1.0 / params.gamma + outer[-1])
+    _, d, weight = _apply(v, nodes, step, params.beta, inv_gamma)
     return GMESolution(
         params=params,
-        phi=h,
+        phi=GridFunction(params.lam, v),
         d_coeff=d,
         phi_prime_lambda=d * float(weight[-1]),
         iterations=iterations,

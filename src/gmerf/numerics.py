@@ -31,9 +31,20 @@ __all__ = [
     "shoot_bvp_dirichlet",
 ]
 
+SQRT_PI = math.sqrt(math.pi)
+
 # Relative slack for domain membership tests; covers float dust from
 # eta = x / (2 sqrt(alpha t)) style computations.
 _DOMAIN_RTOL = 1e-12
+
+
+def _check_domain(eta, lam: float, what: str) -> np.ndarray:
+    """eta as a float array; rejects points outside [0, lam] beyond the slack."""
+    pts = np.asarray(eta, dtype=float)
+    slack = _DOMAIN_RTOL * max(1.0, lam)
+    if np.any(pts < -slack) or np.any(pts > lam + slack):
+        raise ValueError(f"{what} outside [0, {lam}]")
+    return pts
 
 
 def erf(x):
@@ -90,10 +101,7 @@ class GridFunction:
 
     def __call__(self, eta):
         """Linear interpolation at eta (scalar or array), restricted to [0, lam]."""
-        pts = np.asarray(eta, dtype=float)
-        slack = _DOMAIN_RTOL * max(1.0, self.lam)
-        if np.any(pts < -slack) or np.any(pts > self.lam + slack):
-            raise ValueError(f"query point outside [0, {self.lam}]")
+        pts = _check_domain(eta, self.lam, "query point")
         out = np.interp(np.clip(pts, 0.0, self.lam), self.nodes, self.values)
         if pts.ndim == 0:
             return float(out)
@@ -115,13 +123,16 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
 
     F(0) = 0 exactly.
     """
-    v = f.values
+    return GridFunction(f.lam, _cumint(f.values, f.step))
+
+
+def _cumint(v: np.ndarray, h: float) -> np.ndarray:
+    # Array form of cumulative_integral: samples v on a uniform grid of step h.
     n = v.size
-    h = f.step
     out = np.zeros(n)
     if n == 2:
         out[1] = 0.5 * h * (v[0] + v[1])
-        return GridFunction(f.lam, out)
+        return out
 
     npairs = (n - 1) // 2
     left = v[0 : 2 * npairs - 1 : 2]
@@ -139,7 +150,7 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
         nonneg = np.minimum(np.minimum(v[i - 2], v[i - 1]), v[i]) >= 0.0
         panel[nonneg] = np.maximum(panel[nonneg], 0.0)
         out[i] = out[i - 1] + panel
-    return GridFunction(f.lam, out)
+    return out
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .fixed_point import (
     SolverConfig,
     solve_gme,
 )
-from .numerics import RootBracket, erf, find_root
+from .numerics import SQRT_PI, RootBracket, erf, find_root
 
 __all__ = [
     "PhysicalParams",
@@ -54,8 +54,6 @@ __all__ = [
     "dirichlet_gap",
     "phi_prime_bounds",
 ]
-
-SQRT_PI = math.sqrt(math.pi)
 
 # Front coefficient search: initial bracket, growth cap, and floor while
 # shrinking toward 0 for very small Stefan numbers.
@@ -206,17 +204,11 @@ def _warn_on_extra_roots(
     margin = 4.0 * max(config.root_tol, 1e-9) * max(1.0, root)
     below = np.geomspace(max(root / 64.0, _LAM_FLOOR), root, 7)[:-1]
     above = np.geomspace(root, _LAM_CAP, 8)[1:]
-    for lam in below:
-        if lam < root - margin and boundary_slope_ratio(lam, beta, gamma, scan_config) < balance_rhs:
-            warnings.warn(
-                f"front balance changes sign again near lam={lam:.3g}; "
-                f"smallest root {root:.6g} returned",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return
-    for lam in above:
-        if lam > root + margin and boundary_slope_ratio(lam, beta, gamma, scan_config) > balance_rhs:
+    for lam in (*below, *above):
+        # -1 below the root, +1 above it, 0 within the margin; the balance
+        # must be positive below and negative above.
+        side = int(lam > root + margin) - int(lam < root - margin)
+        if side and side * (boundary_slope_ratio(lam, beta, gamma, scan_config) - balance_rhs) > 0.0:
             warnings.warn(
                 f"front balance changes sign again near lam={lam:.3g}; "
                 f"smallest root {root:.6g} returned",
@@ -276,8 +268,10 @@ def temperature(sol: StefanSolution, x: float, t: float) -> float:
     s = front_position(sol, t)
     if x > s * (1.0 + 1e-12):
         raise ValueError(f"x={x:g} lies beyond the front s(t)={s:g}")
-    eta = min(x / (2.0 * math.sqrt(sol.physical.alpha0 * t)), sol.lambda_star)
     p = sol.physical
+    if x >= s:
+        return p.tf
+    eta = min(x / (2.0 * math.sqrt(p.alpha0 * t)), sol.lambda_star)
     return p.tinf + (p.tf - p.tinf) * sol.gme.phi(eta)
 
 

@@ -137,6 +137,25 @@ class TestSolveLambda:
         with pytest.raises(ValueError):
             solve_lambda(0.1, 1.0, 0.0)
 
+    @pytest.mark.parametrize("window, beyond_root", [((0.03, 0.05), False), ((15.0, 20.0), True)])
+    def test_warns_on_spurious_sign_change(self, monkeypatch, window, beyond_root):
+        # H = 1/lam crosses rhs = 0.8 once, at lam = 1.25; inside the window
+        # it jumps to the other side of rhs, a second sign change that the
+        # scan probes near 0.039 (below the root) or near 17.2 (above it).
+        def ratio(lam, beta, gamma, config=DEFAULT_CONFIG):
+            if window[0] < lam < window[1]:
+                return 1.0 if beyond_root else 0.5
+            return 1.0 / lam
+
+        monkeypatch.setattr("gmerf.stefan.boundary_slope_ratio", ratio)
+        with pytest.warns(RuntimeWarning, match="changes sign again") as record:
+            root = solve_lambda(0.0, 1.0, 2.5)
+        assert root == pytest.approx(1.25, rel=1e-12)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+        near = float(str(record[0].message).split("near lam=")[1].split(";")[0])
+        assert window[0] < near < window[1]
+
 
 class TestSolveStefan:
     def test_front_balance_in_physical_variables(self):
@@ -172,6 +191,23 @@ class TestSolveStefan:
         temps = [temperature(sol, x, t) for x in xs]
         assert all(a < b for a, b in zip(temps, temps[1:]))
         assert p.tinf < temps[0] < p.tf
+
+    def test_temperature_on_the_front_is_tf_exactly(self):
+        rng = np.random.default_rng(1)
+        config = SolverConfig(grid_n=201)
+        for _ in range(40):
+            gamma = 10.0 ** rng.uniform(-1.0, 1.0)
+            beta = rng.uniform(0.0, 0.9) * contraction_threshold(gamma)
+            ste = 10.0 ** rng.uniform(-1.3, 0.7)
+            rho, c = rng.uniform(500.0, 9000.0), rng.uniform(100.0, 4500.0)
+            k0 = 10.0 ** rng.uniform(-1.0, 2.6)
+            tinf = rng.uniform(-60.0, 0.0)
+            tf = tinf + rng.uniform(1.0, 60.0)
+            h0 = gamma * k0 / (2.0 * math.sqrt(k0 / (rho * c)))
+            p = PhysicalParams(rho=rho, c=c, l=c * (tf - tinf) / ste, k0=k0, h0=h0, tf=tf, tinf=tinf, beta=beta)
+            sol = solve_stefan(p, config)
+            for t in 10.0 ** rng.uniform(0.0, 4.0, 3):
+                assert temperature(sol, front_position(sol, t), t) == p.tf
 
     def test_temperature_rejects_points_outside_solid_region(self):
         sol = solve_stefan(sample_physical())
