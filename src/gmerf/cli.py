@@ -26,17 +26,17 @@ from .approx import approx_coeffs, first_order, zero_order
 from .errors import GmerfError
 from .fixed_point import (
     DEFAULT_CONFIG,
-    GMEParams,
     SolverConfig,
+    _all_solved,
+    _solve_rows,
     contraction_threshold,
 )
 from .stefan import (
     PhysicalParams,
+    _dirichlet_comparison,
+    _slope_ratio,
     _solved,
-    boundary_slope_ratio,
-    dirichlet_gap,
     front_position,
-    solve_dirichlet,
     solve_stefan,
     temperature,
 )
@@ -142,9 +142,10 @@ def _cmd_hscan(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
     config = _config_from(args)
+    lams = np.linspace(args.lmin, args.lmax, args.steps)
+    sols = _all_solved(_solve_rows([(args.beta, args.gamma, float(lam)) for lam in lams], config))
     rows = [["lambda", "H"]]
-    for lam in np.linspace(args.lmin, args.lmax, args.steps):
-        rows.append([_fmt(lam), _fmt(boundary_slope_ratio(float(lam), args.beta, args.gamma, config))])
+    rows += [[_fmt(lam), _fmt(_slope_ratio(sol))] for lam, sol in zip(lams, sols)]
     _emit(_csv(rows), args.out)
     return EXIT_OK
 
@@ -205,17 +206,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_dirichlet(args: argparse.Namespace) -> int:
     config = _config_from(args)
+    dag, robins, gaps = _dirichlet_comparison(args.beta, args.lam, args.gamma, config)
     rows = [["gamma", "sup_gap"]]
-    rows += [[_fmt(gamma), _fmt(gap)] for gamma, gap in dirichlet_gap(args.beta, args.lam, args.gamma, config)]
+    rows += [[_fmt(gamma), _fmt(gap)] for gamma, gap in zip(args.gamma, gaps)]
     _emit(_csv(rows), args.out)
 
     if args.curve_dir is not None:
         outdir = Path(args.curve_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        dag = solve_dirichlet(args.beta, args.lam, config)
         eta = dag.phi.nodes
-        for gamma in args.gamma:
-            robin = _solved(args.beta, float(gamma), args.lam, config)
+        for gamma, robin in zip(args.gamma, robins):
             curve = [["eta", "phi_gamma", "phi_dag"]]
             for i in range(eta.size):
                 curve.append([_fmt(eta[i]), _fmt(robin.phi.values[i]), _fmt(dag.phi.values[i])])
@@ -243,13 +243,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = [["beta", "gamma", "lambda", "d_coeff", "phi_prime_lambda", "iterations", "residual", "status"]]
     saw_solver = saw_usage = False
-    for beta, gamma, lam in itertools.product(betas, gammas, lams):
-        head = [_fmt(beta), _fmt(gamma), _fmt(lam)]
-        try:
-            sol = _solved(beta, gamma, lam, config)
-        except (GmerfError, ValueError) as exc:
-            rows.append(head + ["", "", "", "", _sanitize(str(exc))])
-            if isinstance(exc, GmerfError):
+    points = list(itertools.product(betas, gammas, lams))
+    for point, sol in zip(points, _solve_rows(points, config)):
+        head = [_fmt(x) for x in point]
+        if isinstance(sol, Exception):
+            rows.append(head + ["", "", "", "", _sanitize(str(sol))])
+            if isinstance(sol, GmerfError):
                 saw_solver = True
             else:
                 saw_usage = True
@@ -306,7 +305,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "hscan",
         help="front-balance curve H(lambda) = phi'(lambda)/lambda",
-        description="CSV curve lambda,H over a uniform lambda range (each row is a full solve; results are cached per process).",
+        description=(
+            "CSV curve lambda,H over a uniform lambda range. All lambdas are solved as one batch; if any "
+            "fails, no table is written and the first failure in lambda order is reported."
+        ),
     )
     p.add_argument("--beta", type=float, required=True, help="conductivity slope, >= 0")
     p.add_argument("--gamma", type=float, required=True, help="flux-condition coefficient, > 0")
@@ -360,12 +362,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "CSV table beta,gamma,lambda,d_coeff,phi_prime_lambda,iterations,residual,status over the "
             "cartesian product of the spec file's beta/gamma/lambda lists (optional grid_n). Rows keep "
-            "input order; failed rows carry the message in status and flip the exit code (2 if any "
-            "solver failure, else 1 if any invalid point)."
+            "input order and are solved as one batch; failed rows carry the message in status and flip the "
+            "exit code (2 if any solver failure, else 1 if any invalid point)."
         ),
     )
     p.add_argument("--spec", required=True, help="JSON spec file with lists beta, gamma, lambda")
-    p.add_argument("--jobs", type=int, default=None, help="accepted for compatibility, >= 1; solves run in order")
+    p.add_argument("--jobs", type=int, default=None, help="accepted for compatibility, >= 1; no effect (all points are solved as one batch)")
     _add_grid_out(p)
     p.set_defaults(func=_cmd_sweep)
 

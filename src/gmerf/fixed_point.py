@@ -31,12 +31,14 @@ different parameters are safe.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractionError, FixedPointError
+from .errors import ContractionError, FixedPointError, GmerfError
 from .numerics import SQRT_PI, GridFunction, _cumint, bracket_root, erf, find_root
 # Unused here; kept bound because perfbench/tracing.py wraps it at this attribute.
 from .numerics import cumulative_integral  # noqa: F401
@@ -57,6 +59,11 @@ __all__ = [
 
 # Slack for membership in the unit band K; absorbs one quadrature round-off.
 _BAND_TOL = 1e-9
+
+# Most node values (rows x grid_n) one Picard chunk iterates at once: keeps the
+# working arrays of a batch to a few hundred kB however many points it holds;
+# a grid larger than this is solved one row at a time.
+_CHUNK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -153,27 +160,27 @@ def conductivity_profile(h: GridFunction, beta: float) -> GridFunction:
     return GridFunction(h.lam, 1.0 + beta * h.values)
 
 
-def _apply(
-    v: np.ndarray, nodes: np.ndarray, step: float, beta: float, inv_gamma: float
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """The operator on node values: (T v, D_v, E_v).
+def _apply(v: np.ndarray, nodes: np.ndarray, step, beta, inv_gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The operator on rows of node values: (T v, D_v, E_v).
 
-    E_v(x) = exp(-2 int_0^x s / Psi_v(s) ds) / Psi_v(x), Psi_v = 1 + beta v,
-    and D_v = 1 / (1/gamma + int_0^lam E_v). The image is clipped at 1 and
-    pinned to 1 at lam. No checks: v must lie in the unit band, which T
-    maps into itself.
+    v and nodes have shape (..., n), one problem per row; step, beta and
+    inv_gamma (1/gamma, 0 for gamma = inf) are scalars or columns of shape
+    (..., 1). E_v(x) = exp(-2 int_0^x s / Psi_v(s) ds) / Psi_v(x),
+    Psi_v = 1 + beta v, and D_v = 1 / (1/gamma + int_0^lam E_v), of shape
+    (..., 1). The image is clipped at 1 and pinned to 1 at lam. No checks:
+    each row must lie in the unit band, which T maps into itself.
     """
     psi = 1.0 + beta * v
     weight = np.exp(-2.0 * _cumint(nodes / psi, step)) / psi
     outer = _cumint(weight, step)
-    d = 1.0 / (inv_gamma + outer[-1])
+    d = 1.0 / (inv_gamma + outer[..., -1:])
     tv = d * (inv_gamma + outer)
     np.minimum(tv, 1.0, out=tv)
-    tv[-1] = 1.0
+    tv[..., -1] = 1.0
     return tv, d, weight
 
 
-def _apply_checked(h: GridFunction, params: GMEParams, what: str) -> tuple[np.ndarray, float, np.ndarray]:
+def _apply_checked(h: GridFunction, params: GMEParams, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _require_unit_band(h, what)
     _require_same_interval(h, params)
     return _apply(h.values, h.nodes, h.step, params.beta, 1.0 / params.gamma)
@@ -184,7 +191,7 @@ def normalizing_coefficient(h: GridFunction, params: GMEParams) -> float:
 
     Always in (0, gamma]; tends to gamma as lam -> 0.
     """
-    return _apply_checked(h, params, "profile")[1]
+    return _apply_checked(h, params, "profile")[1][0]
 
 
 def fixed_point_map(h: GridFunction, params: GMEParams) -> GridFunction:
@@ -207,10 +214,12 @@ def contraction_factor(x, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
+@functools.lru_cache(maxsize=256)
 def contraction_threshold(gamma: float, tol: float = 1e-12) -> float:
     """Unique positive root of g(x) = 1: Picard is certified below it.
 
     Strictly decreasing in gamma (roughly 2/(3 sqrt(pi) gamma) for large gamma).
+    Cached per (gamma, tol), since every profile solve at finite gamma asks.
     """
     bracket = bracket_root(lambda x: contraction_factor(x, gamma) - 1.0, 0.0, 1.0)
     return find_root(lambda x: contraction_factor(x, gamma) - 1.0, bracket, tol=tol)
@@ -295,14 +304,34 @@ class GMESolution:
             raise ValueError(f"normalizing coefficient {self.d_coeff:g} outside (0, gamma]")
 
 
-def _seed_profile(params: GMEParams, n: int) -> GridFunction:
-    # Constant-conductivity (beta = 0) closed form; also the Picard seed for
-    # beta > 0. The 2/gamma form covers the prescribed-value limit at gamma=inf.
-    nodes = np.linspace(0.0, params.lam, n)
+def _seed(nodes: np.ndarray, gamma) -> np.ndarray:
+    # Constant-conductivity (beta = 0) closed form on rows of nodes, gamma a
+    # scalar or a column; also the Picard seed for beta > 0. The 2/gamma form
+    # covers the prescribed-value limit at gamma=inf.
     s = SQRT_PI * erf(nodes)
-    two_over_gamma = 2.0 / params.gamma
-    vals = (two_over_gamma + s) / (two_over_gamma + s[-1])
-    return GridFunction(params.lam, vals)
+    two_over_gamma = 2.0 / gamma
+    return (two_over_gamma + s) / (two_over_gamma + s[..., -1:])
+
+
+def _seed_profile(params: GMEParams, n: int) -> GridFunction:
+    return GridFunction(params.lam, _seed(np.linspace(0.0, params.lam, n), params.gamma))
+
+
+def _certified(params: GMEParams, allow_unproven: bool) -> bool:
+    # Whether beta is below the certified threshold; raises ContractionError
+    # when it is not and the override is off.
+    if params.dirichlet:
+        threshold = dirichlet_contraction_threshold(params.lam)
+    else:
+        threshold = contraction_threshold(params.gamma)
+    certified = params.beta < threshold
+    if not certified and not allow_unproven:
+        raise ContractionError(
+            f"beta={params.beta:g} is at or above the certified contraction "
+            f"threshold {threshold:.6g} for this problem; pass "
+            f"allow_unproven=True to attempt the solve anyway"
+        )
+    return certified
 
 
 def solve_gme(
@@ -327,45 +356,100 @@ def solve_gme(
     FixedPointError
         Iteration cap reached before the update fell below ``config.fp_tol``.
     """
-    if params.dirichlet:
-        threshold = dirichlet_contraction_threshold(params.lam)
-    else:
-        threshold = contraction_threshold(params.gamma)
-    certified = params.beta < threshold
-    if not certified and not allow_unproven:
-        raise ContractionError(
-            f"beta={params.beta:g} is at or above the certified contraction "
-            f"threshold {threshold:.6g} for this problem; pass "
-            f"allow_unproven=True to attempt the solve anyway"
-        )
+    return _all_solved(_solve_rows([params], config, allow_unproven=allow_unproven))[0]
+
+
+def _all_solved(results: list[GMESolution | Exception]) -> list[GMESolution]:
+    """The results of `_solve_rows`, or the first failure in input order raised."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
+def _solve_rows(
+    points: Sequence[GMEParams | tuple[float, float, float]],
+    config: SolverConfig,
+    *,
+    allow_unproven: bool = False,
+) -> list[GMESolution | Exception]:
+    """Solve many profile problems on one grid size; one result per point, in order.
+
+    Each point is a GMEParams or a (beta, gamma, lam) triple. Its result is
+    the GMESolution `solve_gme` returns for it, or the exception `solve_gme`
+    raises (a triple that fails validation gives its ValueError). Points are
+    iterated together in chunks of at most `_CHUNK_ELEMENTS` node values, and
+    each row leaves its chunk as soon as its own update reaches fp_tol, so
+    every result is bit-identical to a lone solve.
+    """
+    results: list[GMESolution | Exception] = [None] * len(points)
+    todo = []
+    for i, point in enumerate(points):
+        try:
+            params = point if isinstance(point, GMEParams) else GMEParams(*point)
+            todo.append((i, params, _certified(params, allow_unproven)))
+        except (GmerfError, ValueError) as exc:
+            results[i] = exc
+    rows = max(1, _CHUNK_ELEMENTS // config.grid_n)
+    for start in range(0, len(todo), rows):
+        _solve_chunk(todo[start : start + rows], config, results)
+    return results
+
+
+def _solve_chunk(chunk: list[tuple[int, GMEParams, bool]], config: SolverConfig, results: list) -> None:
+    # Picard on the rows of one chunk, writing each row's result into results.
+    n, k = config.grid_n, len(chunk)
+    params = [p for _, p, _ in chunk]
+    lam = np.array([[p.lam] for p in params])
+    beta = np.array([[p.beta] for p in params])
+    gamma = np.array([[p.gamma] for p in params])
+    nodes = np.stack([np.linspace(0.0, p.lam, n) for p in params])
+    args = live_args = (nodes, lam / (n - 1), beta, 1.0 / gamma)
 
     # T maps the unit band into itself, so the loop runs on bare arrays with
-    # no per-step checks; GMESolution verifies the final profile.
-    seed = _seed_profile(params, config.grid_n)
-    v, nodes, step, inv_gamma = seed.values, seed.nodes, seed.step, 1.0 / params.gamma
-    residual = math.inf
-    iterations = 0
-    for iterations in range(1, config.fp_max_iter + 1):
-        nv = _apply(v, nodes, step, params.beta, inv_gamma)[0]
-        residual = float(np.max(np.abs(nv - v)))
+    # no per-step checks; GMESolution verifies each final profile. A retired
+    # row keeps its values, iteration count and last update.
+    v = _seed(nodes, gamma)
+    live = np.arange(k)
+    final = np.empty_like(v)
+    iterations = np.zeros(k, dtype=int)
+    residual = np.empty(k)
+    for it in range(1, config.fp_max_iter + 1):
+        nv = _apply(v, *live_args)[0]
+        res = np.max(np.abs(nv - v), axis=-1)
         v = nv
-        if residual <= config.fp_tol:
-            break
+        done = res <= config.fp_tol
+        if done.any():
+            rows = live[done]
+            final[rows], iterations[rows], residual[rows] = v[done], it, res[done]
+            if done.all():
+                break
+            keep = ~done
+            live, v, res = live[keep], v[keep], res[keep]
+            live_args = tuple(a[keep] for a in live_args)
     else:
-        raise FixedPointError(
-            f"Picard iteration did not reach tol={config.fp_tol:g} in "
-            f"{config.fp_max_iter} iterations (last update {residual:g})",
-            residual=residual,
-            iterations=config.fp_max_iter,
-        )
+        final[live], residual[live] = v, res
 
-    _, d, weight = _apply(v, nodes, step, params.beta, inv_gamma)
-    return GMESolution(
-        params=params,
-        phi=GridFunction(params.lam, v),
-        d_coeff=d,
-        phi_prime_lambda=d * float(weight[-1]),
-        iterations=iterations,
-        residual=residual,
-        contraction_certified=certified,
-    )
+    _, d, weight = _apply(final, *args)
+    for row, (i, p, certified) in enumerate(chunk):
+        if not iterations[row]:
+            last = float(residual[row])
+            results[i] = FixedPointError(
+                f"Picard iteration did not reach tol={config.fp_tol:g} in "
+                f"{config.fp_max_iter} iterations (last update {last:g})",
+                residual=last,
+                iterations=config.fp_max_iter,
+            )
+            continue
+        try:
+            results[i] = GMESolution(
+                params=p,
+                phi=GridFunction(p.lam, final[row]),
+                d_coeff=d[row, 0],
+                phi_prime_lambda=d[row, 0] * float(weight[row, -1]),
+                iterations=int(iterations[row]),
+                residual=float(residual[row]),
+                contraction_certified=certified,
+            )
+        except ValueError as exc:
+            results[i] = exc

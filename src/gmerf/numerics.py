@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -95,9 +96,12 @@ class GridFunction:
     def step(self) -> float:
         return self.lam / (self.n - 1)
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.lam, self.n)
+        # Built once per instance: point queries read it on every call.
+        nodes = np.linspace(0.0, self.lam, self.n)
+        nodes.setflags(write=False)
+        return nodes
 
     def __call__(self, eta):
         """Linear interpolation at eta (scalar or array), restricted to [0, lam]."""
@@ -126,31 +130,41 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
     return GridFunction(f.lam, _cumint(f.values, f.step))
 
 
-def _cumint(v: np.ndarray, h: float) -> np.ndarray:
-    # Array form of cumulative_integral: samples v on a uniform grid of step h.
-    n = v.size
-    out = np.zeros(n)
+def _cumint(v: np.ndarray, h) -> np.ndarray:
+    # Array form of cumulative_integral along the last axis of v. The step h
+    # is a scalar or a column with one step per row (shape (..., 1)).
+    n = v.shape[-1]
+    out = np.zeros(v.shape)
     if n == 2:
-        out[1] = 0.5 * h * (v[0] + v[1])
+        out[..., 1:] = 0.5 * h * (v[..., 0:1] + v[..., 1:2])
         return out
 
-    npairs = (n - 1) // 2
-    left = v[0 : 2 * npairs - 1 : 2]
-    mid = v[1 : 2 * npairs : 2]
-    right = v[2 : 2 * npairs + 1 : 2]
-    out[2 : 2 * npairs + 1 : 2] = np.cumsum((h / 3.0) * (left + 4.0 * mid + right))
+    m = 2 * ((n - 1) // 2)  # last even node
+    left = v[..., 0 : m - 1 : 2]
+    mid = v[..., 1:m:2]
+    right = v[..., 2 : m + 1 : 2]
+    np.cumsum((h / 3.0) * (left + 4.0 * mid + right), axis=-1, out=out[..., 2 : m + 1 : 2])
 
-    first = (h / 12.0) * (5.0 * v[0] + 8.0 * v[1] - v[2])
-    if min(v[0], v[1], v[2]) >= 0.0:
-        first = max(first, 0.0)
-    out[1] = first
+    # Odd node i closes the panel (i-2, i-1, i); node 1 uses (0, 1, 2).
+    h12 = h / 12.0
+    a, b, c = v[..., 0:1], v[..., 1:2], v[..., 2:3]
+    first = h12 * (5.0 * a + 8.0 * b - c)
+    _floor_panels(first, a, b, c)
+    out[..., 1:2] = first
     if n > 3:
-        i = np.arange(3, n, 2)
-        panel = (h / 12.0) * (-v[i - 2] + 8.0 * v[i - 1] + 5.0 * v[i])
-        nonneg = np.minimum(np.minimum(v[i - 2], v[i - 1]), v[i]) >= 0.0
-        panel[nonneg] = np.maximum(panel[nonneg], 0.0)
-        out[i] = out[i - 1] + panel
+        a, b, c = v[..., 1 : n - 2 : 2], v[..., 2 : n - 1 : 2], v[..., 3:n:2]
+        panel = h12 * (-a + 8.0 * b + 5.0 * c)
+        _floor_panels(panel, a, b, c)
+        out[..., 3:n:2] = out[..., 2 : n - 1 : 2] + panel
     return out
+
+
+def _floor_panels(panel: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+    # Sets to zero, in place, each negative closing panel whose samples a, b, c
+    # are all non-negative; the sample test runs only when a panel is negative.
+    neg = panel < 0.0
+    if neg.any():
+        panel[neg & (np.minimum(np.minimum(a, b), c) >= 0.0)] = 0.0
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,8 @@ from .fixed_point import (
     GMEParams,
     GMESolution,
     SolverConfig,
+    _all_solved,
+    _solve_rows,
     solve_gme,
 )
 from .numerics import SQRT_PI, RootBracket, erf, find_root
@@ -144,7 +146,12 @@ def boundary_slope_ratio(
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be finite and positive, got {lam}")
-    return _solved(beta, gamma, lam, config).phi_prime_lambda / lam
+    return _slope_ratio(_solved(beta, gamma, lam, config))
+
+
+def _slope_ratio(sol: GMESolution) -> float:
+    # The front-balance side phi'(lam) / lam of one solved profile.
+    return sol.phi_prime_lambda / sol.params.lam
 
 
 def solve_lambda(
@@ -306,15 +313,21 @@ def dirichlet_gap(
     order. The gaps shrink as gamma grows (the flux condition stiffens into
     the prescribed value).
     """
+    _, _, gaps = _dirichlet_comparison(beta, lam, gammas, config)
+    return [(float(gamma), gap) for gamma, gap in zip(gammas, gaps)]
+
+
+def _dirichlet_comparison(
+    beta: float, lam: float, gammas: list[float], config: SolverConfig
+) -> tuple[GMESolution, list[GMESolution], list[float]]:
+    # The prescribed-value profile, the flux-condition profiles (solved as one
+    # batch; the first failure in gamma order is raised) and their sup gaps.
     if not gammas:
         raise ValueError("gammas must be a non-empty list")
     dag = solve_dirichlet(beta, lam, config)
-    out = []
-    for gamma in gammas:
-        robin = _solved(beta, float(gamma), lam, config)
-        gap = float(np.max(np.abs(robin.phi.values - dag.phi.values)))
-        out.append((float(gamma), gap))
-    return out
+    robins = _all_solved(_solve_rows([(beta, float(gamma), lam) for gamma in gammas], config))
+    gaps = [float(np.max(np.abs(robin.phi.values - dag.phi.values))) for robin in robins]
+    return dag, robins, gaps
 
 
 def phi_prime_bounds(beta: float, gamma: float, lam: float) -> tuple[float, float]:

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 import gmerf
+from gmerf import fixed_point, stefan
 from gmerf.cli import main
-from gmerf.stefan import boundary_slope_ratio
+from gmerf.errors import GmerfError
+from gmerf.fixed_point import GMEParams, SolverConfig, solve_gme
+from gmerf.stefan import boundary_slope_ratio, dirichlet_gap, solve_dirichlet
 
 GME_COLUMNS = "eta,phi,phi0,phi1_approx,err0_pointwise,err1_pointwise"
 
@@ -24,6 +27,14 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def fmt(x):
+    return format(float(x), ".17g")
+
+
+def csv_text(rows):
+    return "\n".join(",".join(row) for row in rows) + "\n"
 
 
 def reemit(text):
@@ -164,6 +175,28 @@ class TestHscan:
         assert len(rows) == 1
         assert float(rows[0][0]) == 0.7
 
+    def test_matches_per_point_slope_ratios_byte_for_byte(self, capsys, monkeypatch):
+        monkeypatch.setattr(fixed_point, "_CHUNK_ELEMENTS", 3 * 101)  # 7 points: 3 chunks
+        config = SolverConfig(grid_n=101)
+        lams = np.linspace(0.05, 3.0, 7)
+        expected = csv_text(
+            [["lambda", "H"]] + [[fmt(x), fmt(boundary_slope_ratio(float(x), 0.2, 1.5, config))] for x in lams]
+        )
+        code, out, _ = run(
+            capsys,
+            ["hscan", "--beta", "0.2", "--gamma", "1.5", "--lmin", "0.05", "--lmax", "3", "--steps", "7", "--grid-n", "101"],
+        )
+        assert code == 0
+        assert out == expected
+
+    def test_out_of_regime_slope_is_solver_error(self, capsys):
+        code, out, err = run(
+            capsys, ["hscan", "--beta", "0.5", "--gamma", "10", "--lmin", "0.5", "--lmax", "2", "--steps", "3"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "contraction threshold" in err
+
     def test_range_touching_zero_is_rejected(self, capsys):
         code, _, err = run(capsys, ["hscan", "--beta", "0", "--gamma", "1", "--lmin", "0", "--lmax", "2", "--steps", "3"])
         assert code == 1
@@ -279,6 +312,38 @@ class TestDirichlet:
         assert reemit(text) == text
 
 
+    def test_matches_per_point_solves_byte_for_byte(self, capsys, tmp_path):
+        beta, lam, gammas = 0.01, 1.5, [0.3, 3.0, 20.0]
+        config = SolverConfig(grid_n=101)
+        table = [["gamma", "sup_gap"]] + [[fmt(g), fmt(gap)] for g, gap in dirichlet_gap(beta, lam, gammas, config)]
+        dag = solve_dirichlet(beta, lam, config)
+        curve_dir = tmp_path / "curves"
+        argv = ["dirichlet", "--beta", str(beta), "--lambda", str(lam), "--gamma", *map(str, gammas)]
+        code, out, _ = run(capsys, argv + ["--grid-n", "101", "--curve-dir", str(curve_dir)])
+        assert code == 0
+        assert out == csv_text(table)
+        for gamma in gammas:
+            robin = solve_gme(GMEParams(beta, gamma, lam), config)
+            curve = [["eta", "phi_gamma", "phi_dag"]] + [
+                [fmt(x), fmt(a), fmt(b)] for x, a, b in zip(dag.phi.nodes, robin.phi.values, dag.phi.values)
+            ]
+            path = curve_dir / f"curves_gamma_{format(gamma, 'g')}.csv"
+            assert path.read_text(encoding="utf-8") == csv_text(curve)
+
+    def test_prescribed_value_profile_is_solved_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        solve = stefan.solve_gme
+
+        def counting(params, *args, **kwargs):
+            calls.append(params.gamma)
+            return solve(params, *args, **kwargs)
+
+        monkeypatch.setattr(stefan, "solve_gme", counting)
+        argv = ["dirichlet", "--beta", "0", "--lambda", "1.3", "--gamma", "1", "10", "--grid-n", "101"]
+        assert run(capsys, argv + ["--curve-dir", str(tmp_path / "curves")])[0] == 0
+        assert calls.count(math.inf) == 1
+
+
 class TestSweep:
     def make_spec(self, tmp_path, **extra):
         spec = {"beta": [0.0, 0.1], "gamma": [1.0, 10.0], "lambda": [1.0, 2.0], "grid_n": 201}
@@ -315,6 +380,34 @@ class TestSweep:
         assert len(bad) == 2
         assert all(r[3] == "" for r in bad)
         assert all("," not in r[7] for r in bad)
+
+    @pytest.mark.parametrize("grid_n", [64, 101])
+    def test_matches_per_point_solves_byte_for_byte(self, capsys, tmp_path, monkeypatch, grid_n):
+        # Mixed rows: invalid points, refused slopes, gamma = inf, several
+        # chunks of three rows each.
+        monkeypatch.setattr(fixed_point, "_CHUNK_ELEMENTS", 3 * grid_n)
+        betas, gammas, lams = [-0.1, 0.0, 0.05, 0.3], [0.5, 10.0, math.inf], [0.2, 1.0, 3.0]
+        path = self.make_spec(tmp_path, beta=betas, gamma=[0.5, 10.0, 1e999], **{"lambda": lams}, grid_n=grid_n)
+        config = SolverConfig(grid_n=grid_n)
+        rows = [["beta", "gamma", "lambda", "d_coeff", "phi_prime_lambda", "iterations", "residual", "status"]]
+        for b in betas:
+            for g in gammas:
+                for v in lams:
+                    head = [fmt(b), fmt(g), fmt(v)]
+                    try:
+                        sol = solve_gme(GMEParams(b, g, v), config)
+                    except (GmerfError, ValueError) as exc:
+                        rows.append(head + ["", "", "", "", str(exc).replace(",", ";")])
+                    else:
+                        fields = (sol.d_coeff, sol.phi_prime_lambda, sol.iterations, sol.residual)
+                        rows.append(head + [fmt(x) for x in fields] + ["ok"])
+        code, out, _ = run(capsys, ["sweep", "--spec", str(path)])
+        assert code == 2
+        assert out == csv_text(rows)
+        statuses = [r[-1] for r in rows[1:]]
+        assert "ok" in statuses
+        assert any("must be" in st for st in statuses)  # invalid point
+        assert any("contraction threshold" in st for st in statuses)  # refused slope
 
     def test_missing_list_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "spec.json"

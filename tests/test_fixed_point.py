@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmerf.errors import ContractionError, FixedPointError
+from gmerf import fixed_point
+from gmerf.errors import ContractionError, FixedPointError, GmerfError
 from gmerf.fixed_point import (
     DEFAULT_CONFIG,
     GMEParams,
     GMESolution,
     SolverConfig,
+    _apply,
     _seed_profile,
+    _solve_rows,
     conductivity_profile,
     contraction_factor,
     contraction_threshold,
@@ -128,6 +131,21 @@ class TestOperatorPieces:
         out = fixed_point_map(GridFunction(lam, vals), params)
         exact = constant_conductivity_profile(out.nodes, gamma, lam)
         assert np.max(np.abs(out.values - exact)) < CLOSED_FORM_TOL
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 201])
+    def test_kernel_rows_match_one_dimensional_calls_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        lams = np.array([[0.3], [1.0], [2.5]])
+        nodes = np.stack([np.linspace(0.0, lam, n) for lam in lams[:, 0]])
+        steps = lams / (n - 1)
+        betas = np.array([[0.0], [0.2], [1.5]])
+        inv_gammas = np.array([[1.0], [0.0], [0.1]])  # the middle row is gamma = inf
+        v = np.sort(rng.uniform(0.0, 1.0, (3, n)), axis=-1)
+        batch = _apply(v, nodes, steps, betas, inv_gammas)
+        for j in range(3):
+            lone = _apply(v[j], nodes[j], float(steps[j, 0]), float(betas[j, 0]), float(inv_gammas[j, 0]))
+            for got, want in zip(batch, lone):
+                assert got[j].tobytes() == want.tobytes()
 
     def test_map_rejects_profile_outside_band(self):
         params = GMEParams(0.2, 1.0, 2.0)
@@ -294,6 +312,81 @@ class TestSolveGme:
         assert np.all(v >= 0.0) and np.all(v <= 1.0)
         assert np.all(np.diff(v) >= 0.0)
         assert v[-1] == 1.0
+
+
+def lone_picard(params, config):
+    """Reference: Picard on the public one-profile operator, one point at a time.
+
+    Returns (values, d_coeff, phi_prime_lambda, iterations, residual); the
+    first three are None when the iteration cap is reached.
+    """
+    h = _seed_profile(params, config.grid_n)
+    for iterations in range(1, config.fp_max_iter + 1):
+        nh = fixed_point_map(h, params)
+        residual = float(np.max(np.abs(nh.values - h.values)))
+        h = nh
+        if residual <= config.fp_tol:
+            _, d, weight = _apply(h.values, h.nodes, h.step, params.beta, 1.0 / params.gamma)
+            return h.values, d[0], d[0] * float(weight[-1]), iterations, residual
+    return None, None, None, iterations, residual
+
+
+class TestSolveRows:
+    # Iterations to converge at 101 nodes: 5, 2, 6, 5, -, -, 4, 7, 6, 2.
+    POINTS = [
+        (0.1, 1.0, 1.0),
+        (0.0, 2.0, 0.5),
+        (0.25, 1.0, 3.0),
+        (0.05, math.inf, 0.8),
+        (-0.1, 1.0, 1.0),  # invalid: ValueError
+        (0.5, 10.0, 1.0),  # above the threshold: ContractionError unless allowed
+        (0.02, 3.0, 0.3),
+        (0.2, math.inf, 2.0),
+        (0.29, 1.0, 5.0),
+        (0.0, math.inf, 1.0),
+    ]
+
+    @pytest.mark.parametrize("max_iter", [20000, 5])
+    @pytest.mark.parametrize("allow_unproven", [False, True])
+    @pytest.mark.parametrize("chunk_rows", [None, 3])
+    def test_matches_lone_solves(self, monkeypatch, max_iter, allow_unproven, chunk_rows):
+        config = SolverConfig(grid_n=101, fp_max_iter=max_iter)
+        if chunk_rows is not None:
+            monkeypatch.setattr(fixed_point, "_CHUNK_ELEMENTS", chunk_rows * config.grid_n)
+        results = _solve_rows(self.POINTS, config, allow_unproven=allow_unproven)
+        assert len(results) == len(self.POINTS)
+        kinds = set()
+        for point, got in zip(self.POINTS, results):
+            try:
+                want = solve_gme(GMEParams(*point), config, allow_unproven=allow_unproven)
+            except (GmerfError, ValueError) as exc:
+                kinds.add(type(exc))
+                assert type(got) is type(exc)
+                assert str(got) == str(exc)
+                if isinstance(exc, FixedPointError):
+                    assert (got.iterations, got.residual) == (exc.iterations, exc.residual)
+                    assert (got.iterations, got.residual) == lone_picard(GMEParams(*point), config)[3:]
+                continue
+            assert isinstance(got, GMESolution)
+            assert got.params == want.params
+            assert got.contraction_certified == want.contraction_certified
+            fields = (got.phi.values.tobytes(), got.d_coeff, got.phi_prime_lambda, got.iterations, got.residual)
+            assert fields == (want.phi.values.tobytes(), want.d_coeff, want.phi_prime_lambda, want.iterations, want.residual)
+            values, d, slope, iterations, residual = lone_picard(GMEParams(*point), config)
+            assert fields == (values.tobytes(), d, slope, iterations, residual)
+        assert ValueError in kinds
+        assert (ContractionError in kinds) != allow_unproven
+        assert (FixedPointError in kinds) == (max_iter == 5)
+
+    def test_one_row_per_chunk_on_grids_beyond_the_budget(self, monkeypatch):
+        config = SolverConfig(grid_n=101)
+        monkeypatch.setattr(fixed_point, "_CHUNK_ELEMENTS", 50)
+        results = _solve_rows(self.POINTS[:4], config)
+        for point, got in zip(self.POINTS[:4], results):
+            assert got.phi.values.tobytes() == solve_gme(GMEParams(*point), config).phi.values.tobytes()
+
+    def test_empty_batch(self):
+        assert _solve_rows([], DEFAULT_CONFIG) == []
 
 
 class TestPrescribedValueVariant:

@@ -12,6 +12,7 @@ from gmerf.fixed_point import GMEParams, SolverConfig
 from gmerf.numerics import (
     GridFunction,
     RootBracket,
+    _cumint,
     bracket_root,
     cumulative_integral,
     erf,
@@ -105,6 +106,12 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             f.values[0] = 5.0
 
+    def test_nodes_are_built_once_and_read_only(self):
+        f = GridFunction(2.0, np.zeros(5))
+        assert f.nodes is f.nodes
+        with pytest.raises(ValueError):
+            f.nodes[0] = 5.0
+
 
 class TestCumulativeIntegral:
     def test_starts_at_zero(self):
@@ -150,6 +157,22 @@ class TestCumulativeIntegral:
         out = cumulative_integral(f).values
         assert out[1] >= 0.0
         assert out[1] >= out[0]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 201])
+    def test_rows_match_one_dimensional_calls_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        rows = np.vstack(
+            [
+                rng.uniform(-0.5, 1.0, n),  # mixed signs: no flooring
+                rng.uniform(0.0, 1.0, n),
+                np.exp(-np.linspace(0.0, 12.0, n) ** 2),  # steep tail: floored panels
+                np.r_[0.0, 0.0, np.ones(n - 2)],  # floored first panel
+            ]
+        )
+        steps = np.array([[0.3], [0.01], [12.0 / (n - 1)], [0.5]])
+        batch = _cumint(rows, steps)
+        for row, step, got in zip(rows, steps[:, 0], batch):
+            assert got.tobytes() == _cumint(row, float(step)).tobytes()
 
     @given(
         st.lists(

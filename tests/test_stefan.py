@@ -89,6 +89,15 @@ class TestBoundarySlopeRatio:
         b = _solved(0.1, 1.0, 1.25, DEFAULT_CONFIG)
         assert a is b
 
+    def test_one_stefan_solve_computes_the_threshold_once(self):
+        physical = sample_physical(h0=0.8, beta=0.2)
+        _solved.cache_clear()
+        contraction_threshold.cache_clear()
+        solve_stefan(physical, SolverConfig(grid_n=201))
+        info = contraction_threshold.cache_info()
+        assert info.misses == 1
+        assert info.hits == _solved.cache_info().misses - 1
+
 
 class TestSolveLambda:
     def test_balance_holds_at_root(self):
