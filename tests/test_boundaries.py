@@ -1,0 +1,204 @@
+"""Every public entry rejects a non-finite or out-of-range scalar with ValueError.
+
+One row per (entry, scalar argument): the entry is called with valid values for
+every other argument, and each value outside the argument's domain must raise
+ValueError. A second table checks that the edge values inside each domain are
+still accepted, so the two together pin the domains in both directions.
+
+Not in the table: the root helpers' tolerances and budgets (`bracket_root`,
+`find_root`, the `tol` of the two thresholds), which are caller-chosen
+numerics rather than problem data; `RootBracket`, whose field checks raise
+BracketError; and the `eta` points of the point evaluators, which must lie in
+[0, lam] and are checked for that (a nan point is not rejected).
+"""
+
+import dataclasses
+import functools
+import math
+
+import pytest
+
+from gmerf import (
+    GMEParams,
+    GridFunction,
+    PhysicalParams,
+    SolverConfig,
+    approx_coeffs,
+    approx_error,
+    boundary_slope_ratio,
+    contraction_factor,
+    contraction_threshold,
+    dirichlet_contraction_threshold,
+    dirichlet_gap,
+    first_order,
+    front_position,
+    lipschitz_bound,
+    phi_prime_bounds,
+    shoot_bvp_dirichlet,
+    solve_dirichlet,
+    solve_gme,
+    solve_lambda,
+    solve_stefan,
+    temperature,
+    zero_order,
+)
+
+NAN, INF = math.nan, math.inf
+POSITIVE = (NAN, INF, -INF, 0.0, -0.5)  # finite and > 0
+NON_NEGATIVE = (NAN, INF, -INF, -0.5)  # finite and >= 0
+POSITIVE_OR_INF = (NAN, -INF, 0.0, -0.5)  # > 0; inf selects the prescribed-value variant
+FINITE = (NAN, INF, -INF)  # any finite value
+IN_UNIT_INTERVAL = (-INF, -0.5, 2.0, INF)  # a point of [0, lam] with lam = 1
+
+CFG = SolverConfig(grid_n=31)
+PHYSICAL = dict(rho=1000.0, c=4.2, l=334.0, k0=0.6, h0=0.3, tf=0.0, tinf=-20.0, beta=0.1)
+
+
+@functools.lru_cache(maxsize=None)
+def _stefan():
+    return solve_stefan(PhysicalParams(**PHYSICAL), CFG)
+
+
+@functools.lru_cache(maxsize=None)
+def _gme():
+    return solve_gme(GMEParams(0.1, 1.0, 1.0), CFG)
+
+
+def _dirichlet_gap(beta=0.05, lam=1.0, gamma=1.0):
+    return dirichlet_gap(beta, lam, [gamma], CFG)
+
+
+def _approx_coefficients(nu):
+    return dataclasses.replace(approx_coeffs(1.0, 1.0), nu=nu)
+
+
+def _front_position(t):
+    return front_position(_stefan(), t)
+
+
+def _temperature(x=0.0, t=1.0):
+    return temperature(_stefan(), x, t)
+
+
+def _approx_error(order):
+    return approx_error(order, _gme())
+
+
+# (entry, valid keyword arguments, {argument: values that must be rejected})
+TABLE = [
+    (GridFunction, dict(lam=1.0, values=[0.0, 1.0]), {"lam": POSITIVE}),
+    (
+        SolverConfig,
+        dict(grid_n=31, fp_tol=1e-10, fp_max_iter=100, root_tol=1e-12),
+        {"grid_n": POSITIVE, "fp_tol": POSITIVE, "fp_max_iter": POSITIVE, "root_tol": POSITIVE},
+    ),
+    (
+        GMEParams,
+        dict(beta=0.1, gamma=1.0, lam=1.0),
+        {"beta": NON_NEGATIVE, "gamma": POSITIVE_OR_INF, "lam": POSITIVE},
+    ),
+    (
+        PhysicalParams,
+        PHYSICAL,
+        {
+            "rho": POSITIVE,
+            "c": POSITIVE,
+            "l": POSITIVE,
+            "k0": POSITIVE,
+            "h0": POSITIVE,
+            "tf": FINITE,
+            "tinf": FINITE,
+            "beta": NON_NEGATIVE,
+        },
+    ),
+    (contraction_factor, dict(x=0.5, gamma=1.0), {"x": (-INF, -0.5), "gamma": POSITIVE}),
+    (contraction_threshold, dict(gamma=1.0), {"gamma": POSITIVE}),
+    (dirichlet_contraction_threshold, dict(lam=1.0), {"lam": POSITIVE}),
+    (lipschitz_bound, dict(b=0.01, gamma=1.0), {"b": NON_NEGATIVE, "gamma": POSITIVE}),
+    (
+        shoot_bvp_dirichlet,
+        dict(beta=0.05, lam=1.0, config=CFG),
+        {"beta": NON_NEGATIVE, "lam": POSITIVE},
+    ),
+    (
+        boundary_slope_ratio,
+        dict(lam=1.0, beta=0.1, gamma=1.0, config=CFG),
+        {"lam": POSITIVE, "beta": NON_NEGATIVE, "gamma": POSITIVE_OR_INF},
+    ),
+    (
+        solve_lambda,
+        dict(beta=0.1, gamma=1.0, ste=0.25, config=CFG),
+        {"beta": NON_NEGATIVE, "gamma": POSITIVE_OR_INF, "ste": POSITIVE},
+    ),
+    (_front_position, dict(t=1.0), {"t": NON_NEGATIVE}),
+    (_temperature, dict(x=0.0, t=1.0), {"x": NON_NEGATIVE, "t": POSITIVE}),
+    (solve_dirichlet, dict(beta=0.05, lam=1.0, config=CFG), {"beta": NON_NEGATIVE, "lam": POSITIVE}),
+    (
+        _dirichlet_gap,
+        dict(beta=0.05, lam=1.0, gamma=1.0),
+        {"beta": NON_NEGATIVE, "lam": POSITIVE, "gamma": POSITIVE_OR_INF},
+    ),
+    (
+        phi_prime_bounds,
+        dict(beta=0.1, gamma=1.0, lam=1.0),
+        {"beta": NON_NEGATIVE, "gamma": POSITIVE, "lam": POSITIVE},
+    ),
+    (
+        zero_order,
+        dict(eta=0.5, gamma=1.0, lam=1.0),
+        {"eta": IN_UNIT_INTERVAL, "gamma": POSITIVE, "lam": POSITIVE},
+    ),
+    (approx_coeffs, dict(gamma=1.0, lam=1.0), {"gamma": POSITIVE, "lam": POSITIVE}),
+    (
+        first_order,
+        dict(eta=0.5, coeffs=approx_coeffs(1.0, 1.0)),
+        {"eta": IN_UNIT_INTERVAL},
+    ),
+    (_approx_error, dict(order=1), {"order": (NAN, INF, -INF, -0.5, 2)}),
+    (_approx_coefficients, dict(nu=3.0), {"nu": (NAN, -INF, 0.0, -0.5, 2.0)}),
+]
+
+REJECTED = [
+    pytest.param(entry, valid, name, value, id=f"{entry.__name__}-{name}={value!r}")
+    for entry, valid, domains in TABLE
+    for name, values in domains.items()
+    for value in values
+]
+
+
+@pytest.mark.parametrize("entry, valid, name, value", REJECTED)
+def test_out_of_domain_scalar_is_rejected(entry, valid, name, value):
+    with pytest.raises(ValueError):
+        entry(**{**valid, name: value})
+
+
+@pytest.mark.parametrize("entry, valid, domains", [pytest.param(*row, id=row[0].__name__) for row in TABLE])
+def test_valid_arguments_are_accepted(entry, valid, domains):
+    entry(**valid)
+
+
+ACCEPTED_EDGES = [
+    pytest.param(lambda: GMEParams(beta=0.0, gamma=1.0, lam=1.0), id="GMEParams-beta=0"),
+    pytest.param(lambda: GMEParams(beta=0.1, gamma=INF, lam=1.0), id="GMEParams-gamma=inf"),
+    pytest.param(lambda: PhysicalParams(**{**PHYSICAL, "beta": 0.0}), id="PhysicalParams-beta=0"),
+    pytest.param(lambda: solve_dirichlet(0.0, 1.0, CFG), id="solve_dirichlet-beta=0"),
+    pytest.param(lambda: _dirichlet_gap(beta=0.0, gamma=INF), id="dirichlet_gap-gamma=inf"),
+    pytest.param(lambda: boundary_slope_ratio(1.0, 0.0, INF, CFG), id="boundary_slope_ratio-gamma=inf"),
+    pytest.param(lambda: shoot_bvp_dirichlet(0.0, 1.0, CFG), id="shoot_bvp_dirichlet-beta=0"),
+    pytest.param(lambda: contraction_factor(0.0, 1.0), id="contraction_factor-x=0"),
+    pytest.param(lambda: lipschitz_bound(0.0, 1.0), id="lipschitz_bound-b=0"),
+    pytest.param(lambda: phi_prime_bounds(0.0, 1.0, 1.0), id="phi_prime_bounds-beta=0"),
+    pytest.param(lambda: _front_position(0.0), id="front_position-t=0"),
+    pytest.param(lambda: _temperature(x=0.0), id="temperature-x=0"),
+    pytest.param(lambda: zero_order(0.0, 1.0, 1.0), id="zero_order-eta=0"),
+    pytest.param(lambda: _approx_error(0), id="approx_error-order=0"),
+]
+
+
+@pytest.mark.parametrize("call", ACCEPTED_EDGES)
+def test_edge_value_is_accepted(call):
+    call()
+
+
+def test_front_starts_at_the_face():
+    assert _front_position(0.0) == 0.0
