@@ -37,7 +37,6 @@ from .fixed_point import (
     GMEParams,
     GMESolution,
     SolverConfig,
-    conductivity_profile,
     contraction_factor,
     contraction_threshold,
     dirichlet_contraction_threshold,
@@ -92,7 +91,6 @@ __all__ = [
     "approx_error",
     "boundary_slope_ratio",
     "bracket_root",
-    "conductivity_profile",
     "contraction_factor",
     "contraction_threshold",
     "cumulative_integral",

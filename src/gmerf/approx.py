@@ -21,12 +21,12 @@ Integrating with the factor exp(eta^2) gives the closed form evaluated by
                    - (gamma pi / 2) erf(eta)^2 + gamma (1 - exp(-2 eta^2)) ],
 
 with c1 = gamma c0 - 4 gamma / nu^2 fixed by the order-1 flux condition and
-c0 by phi_1(lam) = 0. An often-quoted alternative grouping of the first
-correction around the basis (2 + gamma sqrt(pi) erf(eta)) uses constants B1,
-B2; that grouping does not satisfy the endpoint condition for finite lam
-(its endpoint defect is 5 sqrt(pi) gamma (1 - erf lam) / nu^2) and fails the
-residual of the order-1 problem, so it is kept on `ApproxCoefficients` as
-reference data only and never drives the evaluator.
+c0 by phi_1(lam) = 0. Erratum: an often-quoted alternative grouping of the
+first correction around the basis (2 + gamma sqrt(pi) erf(eta)) uses
+constants B1, B2 (B2 nu^2 = 12 + 2 gamma + gamma^2 pi); that grouping does not
+satisfy the endpoint condition for finite lam (its endpoint defect is
+5 sqrt(pi) gamma (1 - erf lam) / nu^2) and fails the residual of the order-1
+problem, so it is not implemented here.
 
 The truncated sums are phi^(0) = phi_0 and phi^(1) = phi_0 + beta phi_1;
 `approx_error` measures their distance to a solved profile in sup norm.
@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .numerics import SQRT_PI, _check_domain, erf
+from .numerics import SQRT_PI, _check_domain, _require, erf
 
 if TYPE_CHECKING:
     from .fixed_point import GMESolution
@@ -54,20 +54,14 @@ __all__ = [
 ]
 
 
-def _check_gamma_lam(gamma: float, lam: float) -> None:
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lam must be finite and positive, got {lam}")
-
-
 def zero_order(eta, gamma: float, lam: float):
     """Constant-conductivity profile phi_0 at eta (scalar or array).
 
     Increasing from 2/nu at 0 to exactly 1 at lam; tends to erf(eta)/erf(lam)
     as gamma grows.
     """
-    _check_gamma_lam(gamma, lam)
+    _require("gamma", gamma)
+    _require("lam", lam)
     pts = _check_domain(eta, lam, "eta")
     nu = 2.0 + gamma * SQRT_PI * float(erf(lam))
     out = (2.0 + gamma * SQRT_PI * erf(pts)) / nu
@@ -79,16 +73,12 @@ class ApproxCoefficients:
     """Constants of the first-order closed form for one (gamma, lam).
 
     c0 and c1 are the boundary constants the evaluator uses (c0 = phi_1(0),
-    c1 = phi_1'(0)). b1 and b2 are the constants of the alternative B-form
-    grouping, retained for cross-checks only; they are inconsistent with the
-    endpoint condition at finite lam (see module docstring).
+    c1 = phi_1'(0)).
     """
 
     gamma: float
     lam: float
     nu: float
-    b1: float
-    b2: float
     c0: float
     c1: float
 
@@ -112,26 +102,15 @@ def _first_order_bracket(pts: np.ndarray, gamma: float) -> np.ndarray:
 
 def approx_coeffs(gamma: float, lam: float) -> ApproxCoefficients:
     """Exact evaluation of all first-order constants for (gamma, lam)."""
-    _check_gamma_lam(gamma, lam)
+    _require("gamma", gamma)
+    _require("lam", lam)
     e = float(erf(lam))
-    ex = math.exp(-lam * lam)
-    ex2 = math.exp(-2.0 * lam * lam)
     nu = 2.0 + gamma * SQRT_PI * e
-
-    b2 = (12.0 + 2.0 * gamma + gamma * gamma * math.pi) / nu**2
-    b1 = -b2 / nu + (gamma / nu**3) * (
-        -5.0 * SQRT_PI * e
-        + 2.0 * lam * ex
-        + gamma * math.pi * ex2
-        + 2.0 * gamma * SQRT_PI * lam * e * ex
-        - 0.5 * gamma * math.pi * e * e
-        - gamma * SQRT_PI * ex * e
-    )
 
     j_end = (gamma / nu**2) * float(_first_order_bracket(np.asarray(lam), gamma))
     c0 = (2.0 / nu) * (2.0 * gamma * SQRT_PI * e / nu**2 - j_end)
     c1 = gamma * c0 - 4.0 * gamma / nu**2
-    return ApproxCoefficients(gamma=gamma, lam=lam, nu=nu, b1=b1, b2=b2, c0=c0, c1=c1)
+    return ApproxCoefficients(gamma=gamma, lam=lam, nu=nu, c0=c0, c1=c1)
 
 
 def first_order(eta, coeffs: ApproxCoefficients):
@@ -153,13 +132,12 @@ def approx_error(order: int, sol: "GMESolution") -> float:
     """Sup-norm distance of the order-0 or order-1 truncation to a solved profile.
 
     The truncation is evaluated on the solution's own grid, so the result is
-    max_i |phi(eta_i) - phi^(order)(eta_i)|.
+    max_i |phi(eta_i) - phi^(order)(eta_i)|. Defined for finite gamma only:
+    `zero_order` rejects a prescribed-value solution with ValueError.
     """
     if order not in (0, 1):
         raise ValueError(f"order must be 0 or 1, got {order}")
     params = sol.params
-    if not math.isfinite(params.gamma):
-        raise ValueError("approx_error is defined for finite gamma only")
     nodes = sol.phi.nodes
     target = zero_order(nodes, params.gamma, params.lam)
     if order == 1:

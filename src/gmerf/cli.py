@@ -26,16 +26,17 @@ from .approx import approx_coeffs, first_order, zero_order
 from .errors import GmerfError
 from .fixed_point import (
     DEFAULT_CONFIG,
+    GMEParams,
     SolverConfig,
     _all_solved,
     _solve_rows,
     contraction_threshold,
+    solve_gme,
 )
 from .stefan import (
     PhysicalParams,
     _dirichlet_comparison,
     _slope_ratio,
-    _solved,
     front_position,
     solve_stefan,
     temperature,
@@ -112,7 +113,8 @@ def _cmd_beta1(args: argparse.Namespace) -> int:
 
 def _cmd_gme(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    sol = _solved(args.beta, args.gamma, args.lam, config)
+    # A one-off solve: the process-wide profile cache stays for the front solves.
+    sol = solve_gme(GMEParams(args.beta, args.gamma, args.lam), config)
     coeffs = approx_coeffs(args.gamma, args.lam)
     eta = sol.phi.nodes
     phi = sol.phi.values
@@ -204,22 +206,32 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _curve_names(gammas: list[float]) -> list[str]:
+    """One curve file name per gamma; two different gammas may not share one."""
+    names = [f"curves_gamma_{format(float(gamma), 'g')}.csv" for gamma in gammas]
+    owner: dict[str, float] = {}
+    for name, gamma in zip(names, gammas):
+        if owner.setdefault(name, gamma) != gamma:
+            raise ValueError(f"--gamma {owner[name]!r} and {gamma!r} would both write {name}")
+    return names
+
+
 def _cmd_dirichlet(args: argparse.Namespace) -> int:
     config = _config_from(args)
+    names = None if args.curve_dir is None else _curve_names(args.gamma)
     dag, robins, gaps = _dirichlet_comparison(args.beta, args.lam, args.gamma, config)
     rows = [["gamma", "sup_gap"]]
     rows += [[_fmt(gamma), _fmt(gap)] for gamma, gap in zip(args.gamma, gaps)]
     _emit(_csv(rows), args.out)
 
-    if args.curve_dir is not None:
+    if names is not None:
         outdir = Path(args.curve_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         eta = dag.phi.nodes
-        for gamma, robin in zip(args.gamma, robins):
+        for name, robin in zip(names, robins):
             curve = [["eta", "phi_gamma", "phi_dag"]]
             for i in range(eta.size):
                 curve.append([_fmt(eta[i]), _fmt(robin.phi.values[i]), _fmt(dag.phi.values[i])])
-            name = f"curves_gamma_{format(float(gamma), 'g')}.csv"
             with open(outdir / name, "w", encoding="utf-8", newline="") as fh:
                 fh.write(_csv(curve))
     return EXIT_OK

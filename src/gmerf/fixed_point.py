@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractionError, FixedPointError, GmerfError
-from .numerics import SQRT_PI, GridFunction, _cumint, bracket_root, erf, find_root
+from .numerics import SQRT_PI, GridFunction, _cumint, _require, bracket_root, erf, find_root
 # Unused here; kept bound because perfbench/tracing.py wraps it at this attribute.
 from .numerics import cumulative_integral  # noqa: F401
 
@@ -47,7 +47,6 @@ __all__ = [
     "SolverConfig",
     "GMEParams",
     "GMESolution",
-    "conductivity_profile",
     "normalizing_coefficient",
     "fixed_point_map",
     "contraction_factor",
@@ -93,12 +92,10 @@ class SolverConfig:
     def __post_init__(self):
         if not (isinstance(self.grid_n, int) and self.grid_n >= 3):
             raise ValueError(f"grid_n must be an integer >= 3, got {self.grid_n}")
-        if not (self.fp_tol > 0.0 and math.isfinite(self.fp_tol)):
-            raise ValueError(f"fp_tol must be positive, got {self.fp_tol}")
+        _require("fp_tol", self.fp_tol)
         if not (isinstance(self.fp_max_iter, int) and self.fp_max_iter >= 1):
             raise ValueError(f"fp_max_iter must be a positive integer, got {self.fp_max_iter}")
-        if not (self.root_tol > 0.0 and math.isfinite(self.root_tol)):
-            raise ValueError(f"root_tol must be positive, got {self.root_tol}")
+        _require("root_tol", self.root_tol)
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -124,12 +121,10 @@ class GMEParams:
     lam: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        _require("beta", self.beta, positive=False)
         if math.isnan(self.gamma) or self.gamma <= 0.0:
             raise ValueError(f"gamma must be positive (finite or inf), got {self.gamma}")
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be finite and positive, got {self.lam}")
+        _require("lam", self.lam)
 
     @property
     def dirichlet(self) -> bool:
@@ -137,7 +132,7 @@ class GMEParams:
         return math.isinf(self.gamma)
 
 
-def _require_unit_band(h: GridFunction, what: str = "profile") -> None:
+def _require_unit_band(h: GridFunction, what: str) -> None:
     lo = float(np.min(h.values))
     hi = float(np.max(h.values))
     if lo < -_BAND_TOL or hi > 1.0 + _BAND_TOL:
@@ -147,17 +142,6 @@ def _require_unit_band(h: GridFunction, what: str = "profile") -> None:
 def _require_same_interval(h: GridFunction, params: GMEParams) -> None:
     if abs(h.lam - params.lam) > 1e-12 * max(1.0, params.lam):
         raise ValueError(f"grid endpoint {h.lam} does not match params.lam {params.lam}")
-
-
-def conductivity_profile(h: GridFunction, beta: float) -> GridFunction:
-    """Dimensionless conductivity factor Psi_h = 1 + beta h along the grid.
-
-    Requires h in the unit band, so the result lies in [1, 1 + beta].
-    """
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    _require_unit_band(h)
-    return GridFunction(h.lam, 1.0 + beta * h.values)
 
 
 def _apply(v: np.ndarray, nodes: np.ndarray, step, beta, inv_gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,8 +189,7 @@ def fixed_point_map(h: GridFunction, params: GMEParams) -> GridFunction:
 
 def contraction_factor(x, gamma: float):
     """Contraction bound g(x) = (sqrt(pi)/2) gamma x sqrt(1+x) (3+x) of the map on K."""
-    if math.isnan(gamma) or gamma <= 0.0 or math.isinf(gamma):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _require("gamma", gamma)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("contraction factor is defined for x >= 0")
@@ -233,8 +216,7 @@ def dirichlet_contraction_threshold(lam: float, tol: float = 1e-12) -> float:
     contracts when beta (1+beta)^{3/2} (3+beta) < erf(lam); the root of the
     equality is returned.
     """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lam must be finite and positive, got {lam}")
+    _require("lam", lam)
     target = float(erf(lam))
 
     def gap(x: float) -> float:
@@ -249,8 +231,7 @@ def lipschitz_bound(b: float, gamma: float) -> float:
 
     Defined for 0 <= b strictly below the contraction threshold.
     """
-    if not (math.isfinite(b) and b >= 0.0):
-        raise ValueError(f"b must be finite and >= 0, got {b}")
+    _require("b", b, positive=False)
     threshold = contraction_threshold(gamma)
     if b >= threshold:
         raise ContractionError(

@@ -39,6 +39,12 @@ SQRT_PI = math.sqrt(math.pi)
 _DOMAIN_RTOL = 1e-12
 
 
+def _require(name: str, value: float, *, positive: bool = True) -> None:
+    """ValueError unless value is finite and > 0 (positive) or >= 0 (not positive)."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        raise ValueError(f"{name} must be finite and {'positive' if positive else '>= 0'}, got {value}")
+
+
 def _check_domain(eta, lam: float, what: str) -> np.ndarray:
     """eta as a float array; rejects points outside [0, lam] beyond the slack."""
     pts = np.asarray(eta, dtype=float)
@@ -81,8 +87,7 @@ class GridFunction:
         vals = np.array(self.values, dtype=float)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"grid endpoint must be finite and positive, got {self.lam}")
+        _require("grid endpoint", self.lam)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("values must be a 1-d array with at least 2 samples")
         if not np.all(np.isfinite(vals)):
@@ -320,14 +325,7 @@ def shoot_bvp(params: "GMEParams", config: "SolverConfig") -> GridFunction:
         p0 = gamma * a / (1.0 + beta * a)
         return _rk4_profile(a, p0, lam, n, beta)[1] - 1.0
 
-    m0 = mismatch(0.0)
-    m1 = mismatch(1.0)
-    if (m0 < 0.0) == (m1 < 0.0) and 0.0 not in (m0, m1):
-        raise BracketError(
-            f"no boundary value in [0, 1] brackets the endpoint mismatch "
-            f"(m(0)={m0:g}, m(1)={m1:g})"
-        )
-    a_star = find_root(mismatch, RootBracket(0.0, 1.0, m0, m1), tol=config.root_tol)
+    a_star = find_root(mismatch, RootBracket.from_function(mismatch, 0.0, 1.0), tol=config.root_tol)
     p0 = gamma * a_star / (1.0 + beta * a_star)
     ys, _ = _rk4_profile(a_star, p0, lam, n, beta)
     return GridFunction(lam, ys)
@@ -339,10 +337,8 @@ def shoot_bvp_dirichlet(beta: float, lam: float, config: "SolverConfig") -> Grid
     The unknown initial slope is grown by doubling until it overshoots the
     endpoint, then root-found. Same integrator and grid as shoot_bvp.
     """
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError(f"beta must be finite and non-negative, got {beta}")
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lam must be finite and positive, got {lam}")
+    _require("beta", beta, positive=False)
+    _require("lam", lam)
     n = config.grid_n
 
     def mismatch(p0: float) -> float:

@@ -42,7 +42,7 @@ from .fixed_point import (
     _solve_rows,
     solve_gme,
 )
-from .numerics import SQRT_PI, RootBracket, erf, find_root
+from .numerics import SQRT_PI, _require, bracket_root, erf, find_root
 
 __all__ = [
     "PhysicalParams",
@@ -100,13 +100,10 @@ class PhysicalParams:
 
     def __post_init__(self):
         for name in ("rho", "c", "l", "k0", "h0"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {v}")
+            _require(name, getattr(self, name))
         if not (math.isfinite(self.tf) and math.isfinite(self.tinf) and self.tf > self.tinf):
             raise ValueError(f"tf must exceed tinf, got tf={self.tf}, tinf={self.tinf}")
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        _require("beta", self.beta, positive=False)
 
     @property
     def alpha0(self) -> float:
@@ -142,10 +139,9 @@ def boundary_slope_ratio(
 
     Strictly positive; lam * ratio tends to gamma/(1+beta) as lam -> 0 and
     the ratio itself decays to 0 as lam grows. Solves (or reuses) the profile
-    at the given parameters, so repeated scans over lam are cached.
+    at the given parameters, so repeated scans over lam are cached. The
+    `GMEParams` of that profile rejects out-of-range arguments (ValueError).
     """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lam must be finite and positive, got {lam}")
     return _slope_ratio(_solved(beta, gamma, lam, config))
 
 
@@ -169,8 +165,9 @@ def solve_lambda(
     BracketError
         No sign change within [1e-12, 50].
     """
-    if not (math.isfinite(ste) and ste > 0.0):
-        raise ValueError(f"ste must be finite and positive, got {ste}")
+    # beta enters the right-hand side before any profile is set up.
+    _require("beta", beta, positive=False)
+    _require("ste", ste)
     rhs = 2.0 / ((1.0 + beta) * ste)
 
     def balance(lam: float) -> float:
@@ -186,16 +183,9 @@ def solve_lambda(
             raise BracketError(f"no positive balance down to lam={_LAM_FLOOR:g}")
         f_lo = balance(lo)
 
-    hi = max(_LAM_HI, 2.0 * lo)
-    f_hi = balance(hi)
-    while f_hi > 0.0:
-        if hi >= _LAM_CAP:
-            raise BracketError(f"no sign change of the front balance up to lam={_LAM_CAP:g}")
-        lo, f_lo = hi, f_hi
-        hi = min(2.0 * hi, _LAM_CAP)
-        f_hi = balance(hi)
-
-    root = find_root(balance, RootBracket(lo, hi, f_lo, f_hi), tol=config.root_tol)
+    # balance(lo) > 0 here, and rereading it is a hit in the profile cache.
+    bracket = bracket_root(balance, lo, max(_LAM_HI, 2.0 * lo), max_hi=_LAM_CAP)
+    root = find_root(balance, bracket, tol=config.root_tol)
     _warn_on_extra_roots(root, balance_rhs=rhs, beta=beta, gamma=gamma, config=config)
     return root
 
@@ -257,8 +247,7 @@ def solve_stefan(physical: PhysicalParams, config: SolverConfig = DEFAULT_CONFIG
 
 def front_position(sol: StefanSolution, t: float) -> float:
     """Front location s(t) = 2 lambda_star sqrt(alpha0 t); s(0) = 0."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+    _require("t", t, positive=False)
     return 2.0 * sol.lambda_star * math.sqrt(sol.physical.alpha0 * t)
 
 
@@ -268,10 +257,8 @@ def temperature(sol: StefanSolution, x: float, t: float) -> float:
     Equals tf exactly on the front. Points beyond the front are outside the
     solved (solid) region and are rejected.
     """
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"t must be finite and positive, got {t}")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError(f"x must be finite and >= 0, got {x}")
+    _require("t", t)
+    _require("x", x, positive=False)
     s = front_position(sol, t)
     if x > s * (1.0 + 1e-12):
         raise ValueError(f"x={x:g} lies beyond the front s(t)={s:g}")
@@ -340,12 +327,9 @@ def phi_prime_bounds(beta: float, gamma: float, lam: float) -> tuple[float, floa
     is weaker there and can fail for small lam). Both tend to gamma/(1+beta)
     as lam -> 0.
     """
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lam must be finite and positive, got {lam}")
+    _require("beta", beta, positive=False)
+    _require("gamma", gamma)
+    _require("lam", lam)
     front = gamma / (1.0 + beta)
     root = math.sqrt(1.0 + beta)
     lower = front * math.exp(-lam * lam) / (

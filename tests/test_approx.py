@@ -55,18 +55,6 @@ class TestZeroOrder:
 
 
 class TestApproxCoefficients:
-    def test_quadratic_coefficient_closed_form(self):
-        # b2 nu^2 = 12 + 2 gamma + gamma^2 pi
-        for gamma, lam in [(0.5, 1.0), (1.0, 10.0), (10.0, 2.0)]:
-            co = approx_coeffs(gamma, lam)
-            assert co.b2 * co.nu**2 == pytest.approx(12.0 + 2.0 * gamma + gamma**2 * math.pi, rel=1e-12)
-
-    def test_saturated_interval_value_at_unit_gamma(self):
-        # for gamma = 1 and erf(lam) ~ 1 the quadratic coefficient reduces to
-        # (14 + pi) / (2 + sqrt(pi))^2
-        co = approx_coeffs(1.0, 10.0)
-        assert co.b2 == pytest.approx((14.0 + math.pi) / (2.0 + SQRT_PI) ** 2, rel=1e-12)
-
     def test_flux_condition_links_the_boundary_constants(self):
         # c1 = gamma c0 - gamma phi0(0) phi0'(0) with phi0(0) phi0'(0) = 4 gamma / nu^2
         for gamma, lam in [(0.1, 1.0), (1.0, 2.0), (5.0, 5.0)]:

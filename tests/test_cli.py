@@ -343,6 +343,25 @@ class TestDirichlet:
         assert run(capsys, argv + ["--curve-dir", str(tmp_path / "curves")])[0] == 0
         assert calls.count(math.inf) == 1
 
+    def test_gammas_sharing_a_curve_file_are_rejected_before_solving(self, capsys, tmp_path):
+        # Both gammas print as "1" under %g, so the second curve would overwrite the first.
+        curve_dir = tmp_path / "curves"
+        argv = ["dirichlet", "--beta", "0", "--lambda", "1", "--gamma", "1.0000001", "1.0000002", "--grid-n", "51"]
+        code, out, err = run(capsys, argv + ["--curve-dir", str(curve_dir)])
+        assert code == 1
+        assert out == "" and not curve_dir.exists()
+        assert "1.0000001" in err and "1.0000002" in err
+        # Without curve files the pair is a valid table.
+        assert run(capsys, argv)[0] == 0
+
+    def test_repeated_gamma_shares_its_curve_file(self, capsys, tmp_path):
+        curve_dir = tmp_path / "curves"
+        argv = ["dirichlet", "--beta", "0", "--lambda", "1", "--gamma", "1", "1", "2", "--grid-n", "51"]
+        code, out, _ = run(capsys, argv + ["--curve-dir", str(curve_dir)])
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 3
+        assert sorted(f.name for f in curve_dir.iterdir()) == ["curves_gamma_1.csv", "curves_gamma_2.csv"]
+
 
 class TestSweep:
     def make_spec(self, tmp_path, **extra):

@@ -17,7 +17,6 @@ from gmerf.fixed_point import (
     _apply,
     _seed_profile,
     _solve_rows,
-    conductivity_profile,
     contraction_factor,
     contraction_threshold,
     dirichlet_contraction_threshold,
@@ -86,11 +85,6 @@ class TestGMEParams:
 
 
 class TestOperatorPieces:
-    def test_conductivity_profile_is_affine_in_samples(self):
-        h = GridFunction(1.0, np.linspace(0.0, 1.0, 11))
-        psi = conductivity_profile(h, 0.5)
-        assert np.allclose(psi.values, 1.0 + 0.5 * h.values)
-
     def test_normalizing_coefficient_constant_conductivity(self):
         # with psi = 1 the weight is exp(-x^2), so the coefficient reduces to
         # 2 gamma / (2 + gamma sqrt(pi) erf(lam))

@@ -126,6 +126,11 @@ class TestSolveLambda:
         resid = lam * math.exp(lam * lam) * (1.0 + SQRT_PI * bi * math.erf(lam)) - bi * ste
         assert abs(resid) < 1e-10
 
+    def test_rejects_slope_of_minus_one(self):
+        # 1 + beta vanishes in the balance's right-hand side.
+        with pytest.raises(ValueError):
+            solve_lambda(-1.0, 1.0, 1.0)
+
     def test_increasing_in_stefan_number(self):
         lams = [solve_lambda(0.1, 1.0, ste) for ste in (0.01, 0.1, 1.0, 10.0)]
         assert all(a < b for a, b in zip(lams, lams[1:]))
