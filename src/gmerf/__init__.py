@@ -7,8 +7,8 @@ operator, provides closed-form small-slope approximations and derivative
 bounds, solves for the front coefficient, and reconstructs the physical
 temperature field. See the individual modules:
 
-- ``numerics``: grid container, cumulative Simpson quadrature, bracketing
-  root finder, RK4 shooting (the independent cross-check oracle).
+- ``numerics``: error function, grid container, cumulative Simpson
+  quadrature, bracketing and Brent root finding.
 - ``fixed_point``: the integral operator, contraction thresholds, Picard
   solver.
 - ``approx``: constant-conductivity profile and first-order slope expansion.
@@ -29,7 +29,6 @@ from .errors import (
     ContractionError,
     FixedPointError,
     GmerfError,
-    IntegrationError,
     RootConvergenceError,
 )
 from .fixed_point import (
@@ -52,12 +51,9 @@ from .numerics import (
     cumulative_integral,
     erf,
     find_root,
-    shoot_bvp,
-    shoot_bvp_dirichlet,
 )
 from .stefan import (
     PhysicalParams,
-    StefanSolution,
     boundary_slope_ratio,
     dirichlet_gap,
     front_position,
@@ -81,12 +77,10 @@ __all__ = [
     "GMESolution",
     "GmerfError",
     "GridFunction",
-    "IntegrationError",
     "PhysicalParams",
     "RootBracket",
     "RootConvergenceError",
     "SolverConfig",
-    "StefanSolution",
     "approx_coeffs",
     "approx_error",
     "boundary_slope_ratio",
@@ -104,8 +98,6 @@ __all__ = [
     "lipschitz_bound",
     "normalizing_coefficient",
     "phi_prime_bounds",
-    "shoot_bvp",
-    "shoot_bvp_dirichlet",
     "solve_dirichlet",
     "solve_gme",
     "solve_lambda",

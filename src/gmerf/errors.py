@@ -11,7 +11,6 @@ __all__ = [
     "GmerfError",
     "BracketError",
     "RootConvergenceError",
-    "IntegrationError",
     "ContractionError",
     "FixedPointError",
 ]
@@ -37,10 +36,6 @@ class RootConvergenceError(GmerfError):
     def __init__(self, message: str, best: float):
         super().__init__(message)
         self.best = best
-
-
-class IntegrationError(GmerfError):
-    """An initial value integration left the valid range (blow-up)."""
 
 
 class ContractionError(GmerfError):

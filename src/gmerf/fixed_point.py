@@ -191,8 +191,8 @@ def contraction_factor(x, gamma: float):
     """Contraction bound g(x) = (sqrt(pi)/2) gamma x sqrt(1+x) (3+x) of the map on K."""
     _require("gamma", gamma)
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("contraction factor is defined for x >= 0")
+    if not np.all((x >= 0.0) & np.isfinite(x)):
+        raise ValueError("contraction factor is defined for finite x >= 0")
     out = 0.5 * SQRT_PI * gamma * x * np.sqrt(1.0 + x) * (3.0 + x)
     return float(out) if out.ndim == 0 else out
 

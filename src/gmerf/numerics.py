@@ -1,5 +1,5 @@
-"""Numerical foundations: uniform-grid functions, cumulative quadrature,
-bracketed root finding, and RK4 shooting integrators.
+"""Numerical foundations: the error function, uniform-grid functions,
+cumulative quadrature, and bracketed root finding.
 
 Everything here is a pure function over immutable values, so concurrent use
 from several threads is safe.
@@ -10,16 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
-import scipy.optimize
-import scipy.special
 
-from .errors import BracketError, IntegrationError, RootConvergenceError
-
-if TYPE_CHECKING:
-    from .fixed_point import GMEParams, SolverConfig
+from .errors import BracketError, RootConvergenceError
 
 __all__ = [
     "GridFunction",
@@ -28,8 +23,6 @@ __all__ = [
     "cumulative_integral",
     "bracket_root",
     "find_root",
-    "shoot_bvp",
-    "shoot_bvp_dirichlet",
 ]
 
 SQRT_PI = math.sqrt(math.pi)
@@ -46,21 +39,79 @@ def _require(name: str, value: float, *, positive: bool = True) -> None:
 
 
 def _check_domain(eta, lam: float, what: str) -> np.ndarray:
-    """eta as a float array; rejects points outside [0, lam] beyond the slack."""
+    """eta as a float array; rejects nan and points outside [0, lam] beyond the slack."""
     pts = np.asarray(eta, dtype=float)
     slack = _DOMAIN_RTOL * max(1.0, lam)
-    if np.any(pts < -slack) or np.any(pts > lam + slack):
+    if not np.all((pts >= -slack) & (pts <= lam + slack)):
         raise ValueError(f"{what} outside [0, {lam}]")
     return pts
 
 
-def erf(x):
-    """Error function, elementwise.
+# Cephes erf (Moshier, ndtr.c): x T(x^2) / U(x^2) for |x| <= 1 and
+# 1 - exp(-x^2) P(|x|) / Q(|x|) for 1 < |x| < 8; from 8 on 1 - erfc(x) rounds
+# to exactly 1. Coefficients run from the highest degree down; U and Q are
+# monic.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERF_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+          1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERF_SATURATED = 8.0
+# Points per block: the block's temporaries stay small enough to be reused
+# from the heap, where whole-grid ones are paged in afresh on every call.
+_ERF_BLOCK = 8192
 
-    Accepts scalars or arrays. Backed by the C library implementation,
-    accurate to machine precision (well below 1e-12 absolute error).
+
+def _horner(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
+    # Rounds as Cephes polevl does (and as p1evl does for a leading 1).
+    out = x * coeffs[0]
+    out += coeffs[1]
+    for c in coeffs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def erf(x):
+    """Error function, elementwise, for scalars or arrays.
+
+    A port of the Cephes rational approximations, within a few ulps of the
+    correctly rounded value; odd, with erf(+-0) = +-0, erf(+-inf) = +-1 and
+    erf(nan) = nan. Each branch is evaluated only on the points that need it.
     """
-    return scipy.special.erf(x)
+    x = np.asarray(x, dtype=float)
+    y = np.empty_like(x)
+    flat_x, flat_y = x.reshape(-1), y.reshape(-1)
+    for start in range(0, flat_x.size, _ERF_BLOCK):
+        block = slice(start, start + _ERF_BLOCK)
+        _erf_block(flat_x[block], flat_y[block])
+    return y[()] if y.ndim == 0 else y
+
+
+def _erf_block(x: np.ndarray, y: np.ndarray) -> None:
+    # erf of the 1-d array x into y.
+    np.abs(x, out=y)
+    core = y <= 1.0
+    tail = (y > 1.0) & (y < _ERF_SATURATED)
+    ac, at = y[core], y[tail]
+    np.minimum(y, 1.0, out=y)  # 1 where saturated; nan stays nan
+    if ac.size:
+        z = ac * ac
+        num = _horner(z, _ERF_T)
+        num *= ac
+        num /= _horner(z, _ERF_U)
+        y[core] = num
+    if at.size:
+        w = np.exp(-(at * at))
+        w *= _horner(at, _ERF_P)
+        w /= _horner(at, _ERF_Q)
+        y[tail] = 1.0 - w
+    np.copysign(y, x, out=y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,113 +289,77 @@ def find_root(
     """Root of f inside the bracket, to absolute tolerance tol on the abscissa.
 
     Brent's method with a bisection fallback (convergence guaranteed for a
-    valid bracket). The result always lies inside [bracket.lo, bracket.hi].
+    valid bracket), started from the bracket's stored endpoint values. The
+    result always lies inside [bracket.lo, bracket.hi].
 
     Raises
     ------
+    ValueError
+        If tol is not finite and positive, max_iter is negative, or f
+        returns nan.
     RootConvergenceError
         If the iteration cap is reached first; the best estimate is attached.
     """
+    _require("tol", tol)
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     if bracket.f_lo == 0.0:
         return bracket.lo
     if bracket.f_hi == 0.0:
         return bracket.hi
-    root, info = scipy.optimize.brentq(
-        f,
-        bracket.lo,
-        bracket.hi,
-        xtol=tol,
-        rtol=4.0 * np.finfo(float).eps,
-        maxiter=max_iter,
-        full_output=True,
-        disp=False,
-    )
-    if not info.converged:
+    root, converged = _brent(f, bracket, tol, max_iter)
+    if not converged:
         raise RootConvergenceError(
             f"root finding stopped after {max_iter} iterations "
             f"(best estimate {root:.17g})",
-            best=float(root),
+            best=root,
         )
-    return float(root)
+    return root
 
 
-def _accel(eta: float, y: float, p: float, beta: float) -> float:
-    """Second derivative from (1 + beta y) y'' + beta y'^2 + 2 eta y' = 0."""
-    den = 1.0 + beta * y
-    if den <= 1e-12 or not math.isfinite(den):
-        raise IntegrationError(f"degenerate conductivity factor 1 + beta*y = {den:g}")
-    return -(beta * p * p + 2.0 * eta * p) / den
+_BRENT_RTOL = 4.0 * math.ulp(1.0)  # 4 eps
 
 
-def _rk4_profile(y0: float, p0: float, lam: float, n: int, beta: float) -> tuple[np.ndarray, float]:
-    """Classical RK4 on the profile equation; returns node values and y(lam)."""
-    h = lam / (n - 1)
-    ys = np.empty(n)
-    ys[0] = y0
-    y, p = y0, p0
-    for i in range(1, n):
-        eta = (i - 1) * h
-        k1y = p
-        k1p = _accel(eta, y, p, beta)
-        k2y = p + 0.5 * h * k1p
-        k2p = _accel(eta + 0.5 * h, y + 0.5 * h * k1y, k2y, beta)
-        k3y = p + 0.5 * h * k2p
-        k3p = _accel(eta + 0.5 * h, y + 0.5 * h * k2y, k3y, beta)
-        k4y = p + h * k3p
-        k4p = _accel(eta + h, y + h * k3y, k4y, beta)
-        y += (h / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
-        p += (h / 6.0) * (k1p + 2.0 * (k2p + k3p) + k4p)
-        ys[i] = y
-    if not (math.isfinite(y) and math.isfinite(p)):
-        raise IntegrationError("initial value integration left the finite range")
-    return ys, y
+def _brent(f: Callable[[float], float], bracket: RootBracket, xtol: float, max_iter: int) -> tuple[float, bool]:
+    # Brent's method (Brent 1973, ch. 4), a line-by-line port of the common
+    # brentq.c with rtol = 4 eps; the bracket supplies both endpoint values
+    # and their sign change. Returns the last iterate and whether it converged.
+    xpre, xcur = float(bracket.lo), float(bracket.hi)
+    fpre, fcur = float(bracket.f_lo), float(bracket.f_hi)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(max_iter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
 
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, True
 
-def shoot_bvp(params: "GMEParams", config: "SolverConfig") -> GridFunction:
-    """Profile solving the flux-boundary problem by shooting, independent of
-    the fixed-point machinery.
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
 
-    The boundary value y(0) = a parametrizes initial data via the flux
-    condition (1 + beta a) y'(0) = gamma a; classical RK4 integrates each
-    candidate on the config grid and a is root-found in [0, 1] until
-    y(lam) = 1 within config.root_tol on the parameter.
-
-    Raises
-    ------
-    BracketError
-        If no a in [0, 1] brackets y(lam) - 1.
-    IntegrationError
-        If an initial value integration blows up.
-    """
-    if not math.isfinite(params.gamma):
-        raise ValueError("shoot_bvp needs a finite gamma; use shoot_bvp_dirichlet for the prescribed-value limit")
-    beta, gamma, lam = params.beta, params.gamma, params.lam
-    n = config.grid_n
-
-    def mismatch(a: float) -> float:
-        p0 = gamma * a / (1.0 + beta * a)
-        return _rk4_profile(a, p0, lam, n, beta)[1] - 1.0
-
-    a_star = find_root(mismatch, RootBracket.from_function(mismatch, 0.0, 1.0), tol=config.root_tol)
-    p0 = gamma * a_star / (1.0 + beta * a_star)
-    ys, _ = _rk4_profile(a_star, p0, lam, n, beta)
-    return GridFunction(lam, ys)
-
-
-def shoot_bvp_dirichlet(beta: float, lam: float, config: "SolverConfig") -> GridFunction:
-    """Shooting companion for the prescribed-value problem y(0) = 0, y(lam) = 1.
-
-    The unknown initial slope is grown by doubling until it overshoots the
-    endpoint, then root-found. Same integrator and grid as shoot_bvp.
-    """
-    _require("beta", beta, positive=False)
-    _require("lam", lam)
-    n = config.grid_n
-
-    def mismatch(p0: float) -> float:
-        return _rk4_profile(0.0, p0, lam, n, beta)[1] - 1.0
-
-    bracket = bracket_root(mismatch, 0.0, 1.0, grow=2.0, max_hi=2.0**40)
-    p_star = find_root(mismatch, bracket, tol=config.root_tol)
-    ys, _ = _rk4_profile(0.0, p_star, lam, n, beta)
-    return GridFunction(lam, ys)
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ValueError(f"the function value at x={xcur} is nan; root finding cannot continue")
+    return xcur, False

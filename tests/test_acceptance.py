@@ -35,7 +35,8 @@ from gmerf import (
     solve_stefan,
     temperature,
 )
-from gmerf.numerics import GridFunction, erf, shoot_bvp
+from gmerf.numerics import GridFunction, erf
+from oracles import shoot_bvp
 
 SQRT_PI = math.sqrt(math.pi)
 

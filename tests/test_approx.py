@@ -33,6 +33,14 @@ class TestZeroOrder:
         assert zero_order(0.0, gamma, lam) == pytest.approx(2.0 / nu, rel=1e-14)
         assert zero_order(lam, gamma, lam) == pytest.approx(1.0, rel=1e-14)
 
+    def test_exactly_one_at_lam(self):
+        # erf(lam) enters as a scalar in nu and as an array at eta = lam;
+        # both must round alike for the ratio to be exactly 1.
+        rng = np.random.default_rng(6)
+        for gamma, lam in zip(np.exp(rng.uniform(-5.0, 5.0, 50)), np.exp(rng.uniform(-4.0, 2.5, 50))):
+            assert zero_order(lam, gamma, lam) == 1.0
+            assert zero_order(np.array([0.0, lam]), gamma, lam)[-1] == 1.0
+
     def test_monotone_on_grid(self):
         x = np.linspace(0.0, 2.0, 201)
         y = zero_order(x, 1.0, 2.0)

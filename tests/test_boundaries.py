@@ -5,11 +5,12 @@ every other argument, and each value outside the argument's domain must raise
 ValueError. A second table checks that the edge values inside each domain are
 still accepted, so the two together pin the domains in both directions.
 
-Not in the table: the root helpers' tolerances and budgets (`bracket_root`,
-`find_root`, the `tol` of the two thresholds), which are caller-chosen
-numerics rather than problem data; `RootBracket`, whose field checks raise
-BracketError; and the `eta` points of the point evaluators, which must lie in
-[0, lam] and are checked for that (a nan point is not rejected).
+The root helpers' tolerances (the `tol` of `find_root` and of the two
+thresholds) are in the table, and so are the points of the point evaluators,
+which must lie in [0, lam] (nan included). Not in the table: the root helpers'
+budgets and growth factors (`bracket_root`, `find_root`'s `max_iter`), which
+are caller-chosen numerics rather than problem data, and `RootBracket`, whose
+field checks raise BracketError.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from gmerf import (
     GMEParams,
     GridFunction,
     PhysicalParams,
+    RootBracket,
     SolverConfig,
     approx_coeffs,
     approx_error,
@@ -30,11 +32,11 @@ from gmerf import (
     contraction_threshold,
     dirichlet_contraction_threshold,
     dirichlet_gap,
+    find_root,
     first_order,
     front_position,
     lipschitz_bound,
     phi_prime_bounds,
-    shoot_bvp_dirichlet,
     solve_dirichlet,
     solve_gme,
     solve_lambda,
@@ -42,13 +44,14 @@ from gmerf import (
     temperature,
     zero_order,
 )
+from oracles import shoot_bvp_dirichlet
 
 NAN, INF = math.nan, math.inf
 POSITIVE = (NAN, INF, -INF, 0.0, -0.5)  # finite and > 0
 NON_NEGATIVE = (NAN, INF, -INF, -0.5)  # finite and >= 0
 POSITIVE_OR_INF = (NAN, -INF, 0.0, -0.5)  # > 0; inf selects the prescribed-value variant
 FINITE = (NAN, INF, -INF)  # any finite value
-IN_UNIT_INTERVAL = (-INF, -0.5, 2.0, INF)  # a point of [0, lam] with lam = 1
+IN_UNIT_INTERVAL = (NAN, -INF, -0.5, 2.0, INF)  # a point of [0, lam] with lam = 1
 
 CFG = SolverConfig(grid_n=31)
 PHYSICAL = dict(rho=1000.0, c=4.2, l=334.0, k0=0.6, h0=0.3, tf=0.0, tinf=-20.0, beta=0.1)
@@ -84,9 +87,23 @@ def _approx_error(order):
     return approx_error(order, _gme())
 
 
+def _grid_function_call(eta):
+    return GridFunction(1.0, [0.0, 1.0])(eta)
+
+
+def _sqrt_two_gap(x):
+    return x * x - 2.0
+
+
 # (entry, valid keyword arguments, {argument: values that must be rejected})
 TABLE = [
     (GridFunction, dict(lam=1.0, values=[0.0, 1.0]), {"lam": POSITIVE}),
+    (_grid_function_call, dict(eta=0.5), {"eta": IN_UNIT_INTERVAL}),
+    (
+        find_root,
+        dict(f=_sqrt_two_gap, bracket=RootBracket(1.0, 2.0, -1.0, 2.0), tol=1e-12),
+        {"tol": POSITIVE},
+    ),
     (
         SolverConfig,
         dict(grid_n=31, fp_tol=1e-10, fp_max_iter=100, root_tol=1e-12),
@@ -111,9 +128,9 @@ TABLE = [
             "beta": NON_NEGATIVE,
         },
     ),
-    (contraction_factor, dict(x=0.5, gamma=1.0), {"x": (-INF, -0.5), "gamma": POSITIVE}),
-    (contraction_threshold, dict(gamma=1.0), {"gamma": POSITIVE}),
-    (dirichlet_contraction_threshold, dict(lam=1.0), {"lam": POSITIVE}),
+    (contraction_factor, dict(x=0.5, gamma=1.0), {"x": NON_NEGATIVE, "gamma": POSITIVE}),
+    (contraction_threshold, dict(gamma=1.0, tol=1e-12), {"gamma": POSITIVE, "tol": POSITIVE}),
+    (dirichlet_contraction_threshold, dict(lam=1.0, tol=1e-12), {"lam": POSITIVE, "tol": POSITIVE}),
     (lipschitz_bound, dict(b=0.01, gamma=1.0), {"b": NON_NEGATIVE, "gamma": POSITIVE}),
     (
         shoot_bvp_dirichlet,

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,3 +441,18 @@ class TestSweep:
         path = tmp_path / "spec.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["sweep", "--spec", str(path)]) == 1
+
+
+def test_fresh_import_needs_only_numpy():
+    # numpy is the only runtime dependency: importing the package and its
+    # CLI in a fresh interpreter loads no other third-party package (private
+    # "_"-prefixed helper modules aside).
+    code = (
+        "import sys; before = set(sys.modules); import gmerf, gmerf.cli; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    src = str(Path(gmerf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    loaded = {name for name in out.split() if not name.startswith("_")}
+    assert loaded - set(sys.stdlib_module_names) == {"gmerf", "numpy"}

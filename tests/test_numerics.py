@@ -17,11 +17,11 @@ from gmerf.numerics import (
     cumulative_integral,
     erf,
     find_root,
-    shoot_bvp,
-    shoot_bvp_dirichlet,
 )
+from oracles import shoot_bvp, shoot_bvp_dirichlet
 
 SERIES_TOL = 1e-13
+ERF_ULPS = 4
 QUAD_EXACT_TOL = 1e-12
 ROOT_TOL = 1e-12
 
@@ -59,6 +59,39 @@ class TestErf:
         ys = erf(xs)
         assert ys.shape == xs.shape
         assert np.all(np.diff(ys) > 0)
+
+    def test_within_four_ulps_of_math_erf(self):
+        rng = np.random.default_rng(20261018)
+        xs = np.concatenate([rng.uniform(-7.0, 7.0, 60_000), rng.uniform(0.0, 50.0, 40_000)])
+        exact = np.array([math.erf(t) for t in xs])
+        assert np.all(np.abs(erf(xs) - exact) <= ERF_ULPS * np.spacing(np.abs(exact)))
+
+    def test_branch_edges_and_subnormals(self):
+        tiny = np.nextafter(0.0, 1.0)
+        edges = [1.0, 8.0, 2.2250738585072014e-308, 1e-310, tiny, 1e300]
+        xs = np.array([np.nextafter(e, d) for e in edges for d in (0.0, np.inf)] + edges)
+        xs = np.concatenate([xs, -xs])
+        exact = np.array([math.erf(t) for t in xs])
+        assert np.all(np.abs(erf(xs) - exact) <= ERF_ULPS * np.spacing(np.abs(exact)))
+
+    def test_signed_zeros_infinities_and_nan(self):
+        ys = erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+        assert ys[0] == 0.0 and not np.signbit(ys[0])
+        assert ys[1] == 0.0 and np.signbit(ys[1])
+        assert ys[2] == 1.0 and ys[3] == -1.0
+        assert np.isnan(ys[4])
+        assert np.isnan(erf(math.nan))
+
+    def test_value_does_not_depend_on_the_array_around_it(self):
+        # Long arrays are evaluated in blocks; any split must give the same bits.
+        xs = np.random.default_rng(7).uniform(-9.0, 9.0, 30_001)
+        pieces = np.concatenate([erf(part) for part in np.array_split(xs, 37)])
+        assert erf(xs).tobytes() == pieces.tobytes()
+        assert erf(xs.reshape(1, -1))[0].tobytes() == pieces.tobytes()
+
+    def test_scalar_and_one_element_array_agree_bitwise(self):
+        for x in (0.0, -0.0, 1e-310, 0.3, -1.0, 1.0000000000000002, 2.5, -7.9, 8.0, 40.0, math.inf, math.nan):
+            assert np.float64(erf(x)).tobytes() == erf(np.array([x]))[0].tobytes(), x
 
 
 class TestGridFunction:
@@ -254,6 +287,31 @@ class TestFindRoot:
         root = find_root(f, RootBracket.from_function(f, 0.0, 1.0), tol=ROOT_TOL)
         assert abs(f(root)) < 1e-14
         assert abs(root - 0.4769362762044699) < 1e-12
+
+    def test_starts_from_the_bracket_values(self):
+        # f(lo) and f(hi) come with the bracket; Brent evaluates only its own
+        # iterates: 6 calls on this bracket, where evaluating both ends again
+        # would take 8.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - 2.0
+
+        br = RootBracket(1.0, 2.0, -1.0, 2.0)
+        root = find_root(f, br, tol=ROOT_TOL)
+        assert len(calls) == 6
+        assert br.lo not in calls and br.hi not in calls
+        assert abs(root - math.sqrt(2.0)) < ROOT_TOL
+
+    def test_nan_function_value_raises(self):
+        br = RootBracket(0.0, 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match="nan"):
+            find_root(lambda x: math.nan, br, tol=ROOT_TOL)
+
+    def test_rejects_negative_iteration_budget(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            find_root(lambda x: x - 0.5, RootBracket(0.0, 1.0, -0.5, 0.5), max_iter=-1)
 
     def test_exhausted_iterations_reports_best(self):
         f = lambda x: x**3 - 2.0
