@@ -62,9 +62,6 @@ _ERF_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887
           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
           1.65666309194161350182e3, 5.57535340817727675546e2)
 _ERF_SATURATED = 8.0
-# Points per block: the block's temporaries stay small enough to be reused
-# from the heap, where whole-grid ones are paged in afresh on every call.
-_ERF_BLOCK = 8192
 
 
 def _horner(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
@@ -85,17 +82,7 @@ def erf(x):
     erf(nan) = nan. Each branch is evaluated only on the points that need it.
     """
     x = np.asarray(x, dtype=float)
-    y = np.empty_like(x)
-    flat_x, flat_y = x.reshape(-1), y.reshape(-1)
-    for start in range(0, flat_x.size, _ERF_BLOCK):
-        block = slice(start, start + _ERF_BLOCK)
-        _erf_block(flat_x[block], flat_y[block])
-    return y[()] if y.ndim == 0 else y
-
-
-def _erf_block(x: np.ndarray, y: np.ndarray) -> None:
-    # erf of the 1-d array x into y.
-    np.abs(x, out=y)
+    y = np.abs(x, out=np.empty(x.shape))
     core = y <= 1.0
     tail = (y > 1.0) & (y < _ERF_SATURATED)
     ac, at = y[core], y[tail]
@@ -112,6 +99,7 @@ def _erf_block(x: np.ndarray, y: np.ndarray) -> None:
         w /= _horner(at, _ERF_Q)
         y[tail] = 1.0 - w
     np.copysign(y, x, out=y)
+    return y[()] if y.ndim == 0 else y
 
 
 @dataclass(frozen=True, eq=False)
