@@ -32,6 +32,7 @@ ABS_TOL = 1e-15
 CASES = {
     "beta1": ["beta1", "--gamma", "0.5", "1", "-1", "20"],
     "gme": ["gme", "--beta", "0.1", "--gamma", "1", "--lambda", "1.5", "--grid-n", "51"],
+    "gme_gamma": ["gme", "--beta", "0.05", "--gamma", "0.37", "--lambda", "2.5", "--grid-n", "51"],
     "hscan": ["hscan", "--beta", "0.1", "--gamma", "2", "--lmin", "0.05", "--lmax", "2.5", "--steps", "9", "--grid-n", "51"],
     "dirichlet": [
         "dirichlet", "--beta", "0.02", "--lambda", "1.2", "--gamma", "0.1", "1", "10",
