@@ -63,9 +63,16 @@ def zero_order(eta, gamma: float, lam: float):
     _require("gamma", gamma)
     _require("lam", lam)
     pts = _check_domain(eta, lam, "eta")
-    nu = 2.0 + gamma * SQRT_PI * float(erf(lam))
-    out = (2.0 + gamma * SQRT_PI * erf(pts)) / nu
+    out = _order0(erf(pts), float(erf(lam)), gamma)
     return float(out) if pts.ndim == 0 else out
+
+
+def _order0(erf_eta, erf_lam, gamma):
+    # phi_0 from erf(eta) and erf(lam); gamma a scalar or a column. The
+    # 2/gamma form covers the prescribed-value limit gamma = inf, and
+    # erf_eta == erf_lam gives exactly 1.
+    two_over_gamma = 2.0 / gamma
+    return (two_over_gamma + SQRT_PI * erf_eta) / (two_over_gamma + SQRT_PI * erf_lam)
 
 
 @dataclass(frozen=True)
@@ -87,8 +94,8 @@ class ApproxCoefficients:
             raise ValueError(f"nu must exceed 2, got {self.nu}")
 
 
-def _first_order_bracket(pts: np.ndarray, gamma: float) -> np.ndarray:
-    e = erf(pts)
+def _first_order_bracket(pts: np.ndarray, gamma: float, e: np.ndarray) -> np.ndarray:
+    # The bracketed term of phi_1 at pts, given e = erf(pts).
     ex = np.exp(-pts * pts)
     ex2 = np.exp(-2.0 * pts * pts)
     return (
@@ -107,7 +114,7 @@ def approx_coeffs(gamma: float, lam: float) -> ApproxCoefficients:
     e = float(erf(lam))
     nu = 2.0 + gamma * SQRT_PI * e
 
-    j_end = (gamma / nu**2) * float(_first_order_bracket(np.asarray(lam), gamma))
+    j_end = (gamma / nu**2) * float(_first_order_bracket(np.asarray(lam), gamma, e))
     c0 = (2.0 / nu) * (2.0 * gamma * SQRT_PI * e / nu**2 - j_end)
     c1 = gamma * c0 - 4.0 * gamma / nu**2
     return ApproxCoefficients(gamma=gamma, lam=lam, nu=nu, c0=c0, c1=c1)
@@ -120,10 +127,11 @@ def first_order(eta, coeffs: ApproxCoefficients):
     flux condition at 0 hold to round-off by construction of c0 and c1.
     """
     pts = _check_domain(eta, coeffs.lam, "eta")
+    e = erf(pts)
     out = (
         coeffs.c0
-        + 0.5 * SQRT_PI * coeffs.c1 * erf(pts)
-        + (coeffs.gamma / coeffs.nu**2) * _first_order_bracket(pts, coeffs.gamma)
+        + 0.5 * SQRT_PI * coeffs.c1 * e
+        + (coeffs.gamma / coeffs.nu**2) * _first_order_bracket(pts, coeffs.gamma, e)
     )
     return float(out) if pts.ndim == 0 else out
 

@@ -33,6 +33,7 @@ from .fixed_point import (
     contraction_threshold,
     solve_gme,
 )
+from .numerics import _require
 from .stefan import (
     PhysicalParams,
     _dirichlet_comparison,
@@ -62,11 +63,19 @@ def _sanitize(message: str) -> str:
     return message.replace(",", ";").replace("\n", " ")
 
 
-def _csv(rows: list[list[str]]) -> str:
-    return "\n".join(",".join(row) for row in rows) + "\n"
+def _csv(header: list[str], rows) -> str:
+    """The CSV text of a table: text cells as given, every other cell through `_fmt`."""
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+def _exit_code(failures) -> int:
+    """Exit code of a table with failed rows: 2 if any failure is a solver failure, else 1."""
+    return max((EXIT_SOLVER if isinstance(exc, GmerfError) else EXIT_USAGE for exc in failures), default=EXIT_OK)
+
+
+def _emit(text: str, out: str | Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -75,13 +84,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _resolve_grid_n(flag_value: int | None, file_value=None) -> int:
-    """Grid resolution precedence: --grid-n flag, config file, GME_GRID_N, 1001."""
-    if flag_value is not None:
-        return flag_value
-    if file_value is not None:
-        if not isinstance(file_value, int) or isinstance(file_value, bool):
-            raise ValueError(f"grid_n must be an integer, got {file_value!r}")
-        return file_value
+    """Grid resolution precedence: --grid-n flag, config file, GME_GRID_N, 1001.
+
+    A flag or file value is returned as given; SolverConfig validates it.
+    """
+    for value in (flag_value, file_value):
+        if value is not None:
+            return value
     env = os.environ.get("GME_GRID_N")
     if env is not None:
         try:
@@ -97,18 +106,15 @@ def _config_from(args: argparse.Namespace, file_value=None) -> SolverConfig:
 
 def _cmd_beta1(args: argparse.Namespace) -> int:
     gammas = list(_DEFAULT_GAMMAS) if args.gamma is None else args.gamma
-    rows = [["gamma", "beta1", "status"]]
-    bad = False
+    rows, failures = [], []
     for gamma in gammas:
         try:
-            root = contraction_threshold(gamma)
+            rows.append([gamma, contraction_threshold(gamma), "ok"])
         except ValueError as exc:
-            rows.append([_fmt(gamma), "", _sanitize(str(exc))])
-            bad = True
-        else:
-            rows.append([_fmt(gamma), _fmt(root), "ok"])
-    _emit(_csv(rows), args.out)
-    return EXIT_USAGE if bad else EXIT_OK
+            rows.append([gamma, "", _sanitize(str(exc))])
+            failures.append(exc)
+    _emit(_csv(["gamma", "beta1", "status"], rows), args.out)
+    return _exit_code(failures)
 
 
 def _cmd_gme(args: argparse.Namespace) -> int:
@@ -116,29 +122,16 @@ def _cmd_gme(args: argparse.Namespace) -> int:
     # A one-off solve: the process-wide profile cache stays for the front solves.
     sol = solve_gme(GMEParams(args.beta, args.gamma, args.lam), config)
     coeffs = approx_coeffs(args.gamma, args.lam)
-    eta = sol.phi.nodes
-    phi = sol.phi.values
+    eta, phi = sol.phi.nodes, sol.phi.values
     phi0 = zero_order(eta, args.gamma, args.lam)
     phi1 = phi0 + args.beta * first_order(eta, coeffs)
-    rows = [["eta", "phi", "phi0", "phi1_approx", "err0_pointwise", "err1_pointwise"]]
-    for i in range(eta.size):
-        rows.append(
-            [
-                _fmt(eta[i]),
-                _fmt(phi[i]),
-                _fmt(phi0[i]),
-                _fmt(phi1[i]),
-                _fmt(abs(phi[i] - phi0[i])),
-                _fmt(abs(phi[i] - phi1[i])),
-            ]
-        )
-    _emit(_csv(rows), args.out)
+    header = ["eta", "phi", "phi0", "phi1_approx", "err0_pointwise", "err1_pointwise"]
+    _emit(_csv(header, zip(eta, phi, phi0, phi1, np.abs(phi - phi0), np.abs(phi - phi1))), args.out)
     return EXIT_OK
 
 
 def _cmd_hscan(args: argparse.Namespace) -> int:
-    if not (math.isfinite(args.lmin) and args.lmin > 0.0):
-        raise ValueError(f"--lmin must be positive (the scanned ratio is undefined at 0), got {args.lmin}")
+    _require("--lmin", args.lmin)
     if not (math.isfinite(args.lmax) and args.lmax >= args.lmin):
         raise ValueError(f"--lmax must be >= --lmin, got {args.lmax}")
     if args.steps < 1:
@@ -146,9 +139,7 @@ def _cmd_hscan(args: argparse.Namespace) -> int:
     config = _config_from(args)
     lams = np.linspace(args.lmin, args.lmax, args.steps)
     sols = _all_solved(_solve_rows([(args.beta, args.gamma, float(lam)) for lam in lams], config))
-    rows = [["lambda", "H"]]
-    rows += [[_fmt(lam), _fmt(_slope_ratio(sol))] for lam, sol in zip(lams, sols)]
-    _emit(_csv(rows), args.out)
+    _emit(_csv(["lambda", "H"], zip(lams, map(_slope_ratio, sols))), args.out)
     return EXIT_OK
 
 
@@ -181,8 +172,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         beta=float(pick("beta", 0.0)),
     )
     times = [float(t) for t in pick("times", [1.0])]
-    if not times or any(not (math.isfinite(t) and t > 0.0) for t in times):
-        raise ValueError(f"times must be positive, got {times}")
+    if not times:
+        raise ValueError("times must list at least one time")
+    for t in times:
+        _require("times", t)
     positions = pick("positions")
     if positions is not None:
         positions = [float(x) for x in positions]
@@ -220,20 +213,14 @@ def _cmd_dirichlet(args: argparse.Namespace) -> int:
     config = _config_from(args)
     names = None if args.curve_dir is None else _curve_names(args.gamma)
     dag, robins, gaps = _dirichlet_comparison(args.beta, args.lam, args.gamma, config)
-    rows = [["gamma", "sup_gap"]]
-    rows += [[_fmt(gamma), _fmt(gap)] for gamma, gap in zip(args.gamma, gaps)]
-    _emit(_csv(rows), args.out)
+    _emit(_csv(["gamma", "sup_gap"], zip(args.gamma, gaps)), args.out)
 
     if names is not None:
         outdir = Path(args.curve_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        eta = dag.phi.nodes
         for name, robin in zip(names, robins):
-            curve = [["eta", "phi_gamma", "phi_dag"]]
-            for i in range(eta.size):
-                curve.append([_fmt(eta[i]), _fmt(robin.phi.values[i]), _fmt(dag.phi.values[i])])
-            with open(outdir / name, "w", encoding="utf-8", newline="") as fh:
-                fh.write(_csv(curve))
+            curve = zip(dag.phi.nodes, robin.phi.values, dag.phi.values)
+            _emit(_csv(["eta", "phi_gamma", "phi_dag"], curve), outdir / name)
     return EXIT_OK
 
 
@@ -253,28 +240,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
 
-    rows = [["beta", "gamma", "lambda", "d_coeff", "phi_prime_lambda", "iterations", "residual", "status"]]
-    saw_solver = saw_usage = False
     points = list(itertools.product(betas, gammas, lams))
-    for point, sol in zip(points, _solve_rows(points, config)):
-        head = [_fmt(x) for x in point]
-        if isinstance(sol, Exception):
-            rows.append(head + ["", "", "", "", _sanitize(str(sol))])
-            if isinstance(sol, GmerfError):
-                saw_solver = True
-            else:
-                saw_usage = True
-        else:
-            rows.append(
-                head
-                + [_fmt(sol.d_coeff), _fmt(sol.phi_prime_lambda), _fmt(sol.iterations), _fmt(sol.residual), "ok"]
-            )
-    _emit(_csv(rows), args.out)
-    if saw_solver:
-        return EXIT_SOLVER
-    if saw_usage:
-        return EXIT_USAGE
-    return EXIT_OK
+    results = _solve_rows(points, config)
+    rows = [
+        [*point, "", "", "", "", _sanitize(str(sol))]
+        if isinstance(sol, Exception)
+        else [*point, sol.d_coeff, sol.phi_prime_lambda, sol.iterations, sol.residual, "ok"]
+        for point, sol in zip(points, results)
+    ]
+    header = ["beta", "gamma", "lambda", "d_coeff", "phi_prime_lambda", "iterations", "residual", "status"]
+    _emit(_csv(header, rows), args.out)
+    return _exit_code(r for r in results if isinstance(r, Exception))
 
 
 class _Parser(argparse.ArgumentParser):

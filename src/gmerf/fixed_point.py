@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .approx import _order0
 from .errors import ContractionError, FixedPointError, GmerfError
 from .numerics import SQRT_PI, GridFunction, _cumint, _require, bracket_root, erf, find_root
 # Unused here; kept bound because perfbench/tracing.py wraps it at this attribute.
@@ -58,6 +59,9 @@ __all__ = [
 
 # Slack for membership in the unit band K; absorbs one quadrature round-off.
 _BAND_TOL = 1e-9
+
+# Absolute tolerance of the two contraction thresholds.
+_THRESHOLD_TOL = 1e-12
 
 # Most node values (rows x grid_n) one Picard chunk iterates at once: keeps the
 # working arrays of a batch to a few hundred kB however many points it holds;
@@ -91,7 +95,7 @@ class SolverConfig:
 
     def __post_init__(self):
         if not (isinstance(self.grid_n, int) and self.grid_n >= 3):
-            raise ValueError(f"grid_n must be an integer >= 3, got {self.grid_n}")
+            raise ValueError(f"grid_n must be an integer >= 3, got {self.grid_n!r}")
         _require("fp_tol", self.fp_tol)
         if not (isinstance(self.fp_max_iter, int) and self.fp_max_iter >= 1):
             raise ValueError(f"fp_max_iter must be a positive integer, got {self.fp_max_iter}")
@@ -198,23 +202,24 @@ def contraction_factor(x, gamma: float):
 
 
 @functools.lru_cache(maxsize=256)
-def contraction_threshold(gamma: float, tol: float = 1e-12) -> float:
+def contraction_threshold(gamma: float) -> float:
     """Unique positive root of g(x) = 1: Picard is certified below it.
 
     Strictly decreasing in gamma (roughly 2/(3 sqrt(pi) gamma) for large gamma).
-    Cached per (gamma, tol), since every profile solve at finite gamma asks.
+    Found to `_THRESHOLD_TOL` in x and cached per gamma, since every profile
+    solve at finite gamma asks.
     """
     bracket = bracket_root(lambda x: contraction_factor(x, gamma) - 1.0, 0.0, 1.0)
-    return find_root(lambda x: contraction_factor(x, gamma) - 1.0, bracket, tol=tol)
+    return find_root(lambda x: contraction_factor(x, gamma) - 1.0, bracket, tol=_THRESHOLD_TOL)
 
 
-def dirichlet_contraction_threshold(lam: float, tol: float = 1e-12) -> float:
+def dirichlet_contraction_threshold(lam: float) -> float:
     """Certified slope range for the prescribed-value variant.
 
     Mirrors the flux-condition bound with the endpoint normalizer estimated
     through int_0^lam E >= (sqrt(pi)/2) erf(lam) / (1 + beta): the map
     contracts when beta (1+beta)^{3/2} (3+beta) < erf(lam); the root of the
-    equality is returned.
+    equality is returned, to `_THRESHOLD_TOL` in beta.
     """
     _require("lam", lam)
     target = float(erf(lam))
@@ -222,7 +227,7 @@ def dirichlet_contraction_threshold(lam: float, tol: float = 1e-12) -> float:
     def gap(x: float) -> float:
         return x * (1.0 + x) ** 1.5 * (3.0 + x) - target
 
-    return find_root(gap, bracket_root(gap, 0.0, 1.0), tol=tol)
+    return find_root(gap, bracket_root(gap, 0.0, 1.0), tol=_THRESHOLD_TOL)
 
 
 def lipschitz_bound(b: float, gamma: float) -> float:
@@ -286,12 +291,10 @@ class GMESolution:
 
 
 def _seed(nodes: np.ndarray, gamma) -> np.ndarray:
-    # Constant-conductivity (beta = 0) closed form on rows of nodes, gamma a
-    # scalar or a column; also the Picard seed for beta > 0. The 2/gamma form
-    # covers the prescribed-value limit at gamma=inf.
-    s = SQRT_PI * erf(nodes)
-    two_over_gamma = 2.0 / gamma
-    return (two_over_gamma + s) / (two_over_gamma + s[..., -1:])
+    # The constant-conductivity (beta = 0) profile on rows of nodes, each
+    # ending at its lam; the Picard seed for beta > 0.
+    e = erf(nodes)
+    return _order0(e, e[..., -1:], gamma)
 
 
 def _seed_profile(params: GMEParams, n: int) -> GridFunction:

@@ -239,31 +239,23 @@ class RootBracket:
         return cls(lo, hi, f(lo), f(hi))
 
 
-def bracket_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    grow: float = 2.0,
-    max_hi: float | None = None,
-    max_steps: int = 60,
-) -> RootBracket:
+def bracket_root(f: Callable[[float], float], lo: float, hi: float, *, max_hi: float | None = None) -> RootBracket:
     """Slide and grow [lo, hi] upward until f changes sign across it.
 
     Intended for functions with a single upward crossing (monotone tails):
     when both endpoint values share a sign, lo takes the old hi and hi is
-    multiplied by `grow` (capped at max_hi). Raises BracketError when the cap
-    or the step budget is exhausted without a sign change.
+    doubled (capped at max_hi). Raises BracketError when the cap is reached,
+    or 60 doublings pass, without a sign change.
     """
     f_lo = f(lo)
     f_hi = f(hi)
-    for _ in range(max_steps):
+    for _ in range(60):
         if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) != (f_hi < 0.0):
             return RootBracket(lo, hi, f_lo, f_hi)
         if max_hi is not None and hi >= max_hi:
             break
         lo, f_lo = hi, f_hi
-        hi = hi * grow if max_hi is None else min(hi * grow, max_hi)
+        hi = 2.0 * hi if max_hi is None else min(2.0 * hi, max_hi)
         f_hi = f(hi)
     raise BracketError(f"no sign change found growing the bracket up to hi={hi:g}")
 

@@ -99,7 +99,7 @@ def shoot_bvp_dirichlet(beta: float, lam: float, config: SolverConfig) -> GridFu
     def mismatch(p0: float) -> float:
         return _rk4_profile(0.0, p0, lam, n, beta)[1] - 1.0
 
-    bracket = bracket_root(mismatch, 0.0, 1.0, grow=2.0, max_hi=2.0**40)
+    bracket = bracket_root(mismatch, 0.0, 1.0, max_hi=2.0**40)
     p_star = find_root(mismatch, bracket, tol=config.root_tol)
     ys, _ = _rk4_profile(0.0, p_star, lam, n, beta)
     return GridFunction(lam, ys)

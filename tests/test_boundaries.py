@@ -5,12 +5,11 @@ every other argument, and each value outside the argument's domain must raise
 ValueError. A second table checks that the edge values inside each domain are
 still accepted, so the two together pin the domains in both directions.
 
-The root helpers' tolerances (the `tol` of `find_root` and of the two
-thresholds) are in the table, and so are the points of the point evaluators,
-which must lie in [0, lam] (nan included). Not in the table: the root helpers'
-budgets and growth factors (`bracket_root`, `find_root`'s `max_iter`), which
-are caller-chosen numerics rather than problem data, and `RootBracket`, whose
-field checks raise BracketError.
+The root finder's tolerance (the `tol` of `find_root`) is in the table, and
+so are the points of the point evaluators, which must lie in [0, lam] (nan
+included). Not in the table: `find_root`'s `max_iter`, a caller-chosen budget
+rather than problem data, and `RootBracket`, whose field checks raise
+BracketError.
 """
 
 import dataclasses
@@ -129,8 +128,8 @@ TABLE = [
         },
     ),
     (contraction_factor, dict(x=0.5, gamma=1.0), {"x": NON_NEGATIVE, "gamma": POSITIVE}),
-    (contraction_threshold, dict(gamma=1.0, tol=1e-12), {"gamma": POSITIVE, "tol": POSITIVE}),
-    (dirichlet_contraction_threshold, dict(lam=1.0, tol=1e-12), {"lam": POSITIVE, "tol": POSITIVE}),
+    (contraction_threshold, dict(gamma=1.0), {"gamma": POSITIVE}),
+    (dirichlet_contraction_threshold, dict(lam=1.0), {"lam": POSITIVE}),
     (lipschitz_bound, dict(b=0.01, gamma=1.0), {"b": NON_NEGATIVE, "gamma": POSITIVE}),
     (
         shoot_bvp_dirichlet,

@@ -155,6 +155,19 @@ class TestGme:
         monkeypatch.setenv("GME_GRID_N", "bogus")
         assert main(["gme", "--beta", "0", "--gamma", "1", "--lambda", "1"]) == 1
 
+    def test_evaluates_erf_at_most_five_times(self, capsys, monkeypatch):
+        # Three calls on the nodes (Picard seed, phi0, phi1) and two on lambda
+        # (the first-order constants, phi0's normalizer).
+        calls = []
+        for module in (gmerf.approx, fixed_point):
+            def counting(x, erf=module.erf):
+                calls.append(np.shape(x))
+                return erf(x)
+
+            monkeypatch.setattr(module, "erf", counting)
+        assert run(capsys, ["gme", "--beta", "0.1", "--gamma", "0.37", "--lambda", "2.5", "--grid-n", "51"])[0] == 0
+        assert len(calls) <= 5, calls
+
 
 class TestHscan:
     def test_scan_columns_and_shape(self, capsys):
@@ -249,6 +262,15 @@ class TestSolve:
         code, out, _ = run(capsys, ["solve", "--config", str(path), "--l", "8"])
         assert code == 0
         assert json.loads(out)["lambda_star"] > base
+
+    @pytest.mark.parametrize("grid_n", [2.5, True, "51", 2])
+    def test_bad_grid_n_in_config_is_usage_error(self, capsys, tmp_path, grid_n):
+        cfg = dict(rho=1.2, c=2.5, l=80.0, k0=1.7, h0=1.0, tf=1.0, tinf=-1.0, grid_n=grid_n)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code, _, err = run(capsys, ["solve", "--config", str(path)])
+        assert code == 1
+        assert "grid_n" in err
 
     def test_missing_parameters_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["solve", "--rho", "1"])
@@ -431,6 +453,12 @@ class TestSweep:
         assert "ok" in statuses
         assert any("must be" in st for st in statuses)  # invalid point
         assert any("contraction threshold" in st for st in statuses)  # refused slope
+
+    @pytest.mark.parametrize("grid_n", [2.5, True, "51", 2])
+    def test_bad_grid_n_in_spec_is_usage_error(self, capsys, tmp_path, grid_n):
+        code, _, err = run(capsys, ["sweep", "--spec", str(self.make_spec(tmp_path, grid_n=grid_n))])
+        assert code == 1
+        assert "grid_n" in err
 
     def test_missing_list_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "spec.json"

@@ -169,13 +169,6 @@ class TestContraction:
         with pytest.raises(ValueError):
             contraction_factor(1.0, math.inf)
 
-    def test_threshold_with_infinite_tol_raises_and_caches_nothing(self):
-        size = contraction_threshold.cache_info().currsize
-        for _ in range(2):
-            with pytest.raises(ValueError, match="tol"):
-                contraction_threshold(1.0, tol=math.inf)
-        assert contraction_threshold.cache_info().currsize == size
-
     def test_threshold_is_unit_factor_point(self):
         for gamma in (0.1, 1.0, 10.0, 100.0):
             b1 = contraction_threshold(gamma)

@@ -272,7 +272,7 @@ class TestBracketRoot:
 
     def test_no_sign_change_raises(self):
         with pytest.raises(BracketError):
-            bracket_root(lambda x: 1.0 + x * x, 0.1, 1.0, max_steps=8)
+            bracket_root(lambda x: 1.0 + x * x, 0.1, 1.0)
 
 
 class TestFindRoot:
