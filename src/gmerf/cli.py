@@ -13,6 +13,7 @@ the default grid resolution; an explicit ``--grid-n`` beats both.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -110,7 +111,7 @@ def _cmd_beta1(args: argparse.Namespace) -> int:
     for gamma in gammas:
         try:
             rows.append([gamma, contraction_threshold(gamma), "ok"])
-        except ValueError as exc:
+        except (GmerfError, ValueError) as exc:
             rows.append([gamma, "", _sanitize(str(exc))])
             failures.append(exc)
     _emit(_csv(["gamma", "beta1", "status"], rows), args.out)
@@ -151,34 +152,42 @@ def _load_json_object(path: str, what: str) -> dict:
     return data
 
 
+def _number(key: str, value) -> float:
+    """A file value as a float; a ValueError naming the key if float() refuses it."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+def _numbers(key: str, value) -> list[float]:
+    """A file list as floats: a JSON list only (a string is refused), each element as `_number`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    return [_number(key, v) for v in value]
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     file_vals = _load_json_object(args.config, "config file") if args.config else {}
 
-    def pick(name: str, default=None):
-        flag = getattr(args, name)
-        return flag if flag is not None else file_vals.get(name, default)
+    def pick(name: str, default=None, read=_number):
+        # A flag arrives typed from argparse; a file value is read here, once.
+        value = getattr(args, name)
+        if value is None and file_vals.get(name) is not None:
+            value = read(name, file_vals[name])
+        return default if value is None else value
 
-    missing = [n for n in ("rho", "c", "l", "k0", "h0", "tf", "tinf") if pick(n) is None]
+    values = {f.name: pick(f.name, 0.0 if f.name == "beta" else None) for f in dataclasses.fields(PhysicalParams)}
+    missing = [name for name, value in values.items() if value is None]
     if missing:
         raise ValueError(f"missing physical parameters: {' '.join(missing)}")
-    physical = PhysicalParams(
-        rho=float(pick("rho")),
-        c=float(pick("c")),
-        l=float(pick("l")),
-        k0=float(pick("k0")),
-        h0=float(pick("h0")),
-        tf=float(pick("tf")),
-        tinf=float(pick("tinf")),
-        beta=float(pick("beta", 0.0)),
-    )
-    times = [float(t) for t in pick("times", [1.0])]
+    physical = PhysicalParams(**values)
+    times = pick("times", [1.0], _numbers)
     if not times:
         raise ValueError("times must list at least one time")
     for t in times:
         _require("times", t)
-    positions = pick("positions")
-    if positions is not None:
-        positions = [float(x) for x in positions]
+    positions = pick("positions", None, _numbers)
 
     config = _config_from(args, file_vals.get("grid_n"))
     sol = solve_stefan(physical, config)
@@ -227,13 +236,9 @@ def _cmd_dirichlet(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _load_json_object(args.spec, "sweep spec")
     try:
-        betas = [float(b) for b in spec["beta"]]
-        gammas = [float(g) for g in spec["gamma"]]
-        lams = [float(v) for v in spec["lambda"]]
+        betas, gammas, lams = (_numbers(key, spec[key]) for key in ("beta", "gamma", "lambda"))
     except KeyError as exc:
         raise ValueError(f"sweep spec missing key {exc}") from None
-    except TypeError:
-        raise ValueError("sweep spec entries beta, gamma, lambda must be lists of numbers") from None
     if not (betas and gammas and lams):
         raise ValueError("sweep lists beta, gamma, lambda must be non-empty")
     config = _config_from(args, spec.get("grid_n"))
@@ -273,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "beta1",
         help="contraction thresholds beta1(gamma)",
-        description="CSV table gamma,beta1,status; rows with invalid gamma carry the message and flip the exit code to 1.",
+        description="CSV table gamma,beta1,status; rows with an invalid gamma (exit 1) or a failed solve (exit 2) carry the message.",
     )
     p.add_argument("--gamma", type=float, nargs="+", default=None, help="gamma values (default: 0.1 1 10 100)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -60,9 +60,6 @@ __all__ = [
 # Slack for membership in the unit band K; absorbs one quadrature round-off.
 _BAND_TOL = 1e-9
 
-# Absolute tolerance of the two contraction thresholds.
-_THRESHOLD_TOL = 1e-12
-
 # Most node values (rows x grid_n) one Picard chunk iterates at once: keeps the
 # working arrays of a batch to a few hundred kB however many points it holds;
 # a grid larger than this is solved one row at a time.
@@ -71,7 +68,7 @@ _CHUNK_ELEMENTS = 8192
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs shared by the solvers.
+    """Numerical knobs shared by the solvers (root searches use `find_root`'s default tol, 1e-12).
 
     Attributes
     ----------
@@ -84,14 +81,11 @@ class SolverConfig:
         the certified geometric rate g(beta), so the generous default is
         headroom for slopes near the contraction threshold, not a cost:
         converged runs stop at the tolerance.
-    root_tol : float
-        Absolute abscissa tolerance for root finding.
     """
 
     grid_n: int = 1001
     fp_tol: float = 1e-10
     fp_max_iter: int = 20000
-    root_tol: float = 1e-12
 
     def __post_init__(self):
         if not (isinstance(self.grid_n, int) and self.grid_n >= 3):
@@ -99,7 +93,6 @@ class SolverConfig:
         _require("fp_tol", self.fp_tol)
         if not (isinstance(self.fp_max_iter, int) and self.fp_max_iter >= 1):
             raise ValueError(f"fp_max_iter must be a positive integer, got {self.fp_max_iter}")
-        _require("root_tol", self.root_tol)
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -206,11 +199,11 @@ def contraction_threshold(gamma: float) -> float:
     """Unique positive root of g(x) = 1: Picard is certified below it.
 
     Strictly decreasing in gamma (roughly 2/(3 sqrt(pi) gamma) for large gamma).
-    Found to `_THRESHOLD_TOL` in x and cached per gamma, since every profile
-    solve at finite gamma asks.
+    Found to `find_root`'s default tolerance (1e-12 in x) and cached per
+    gamma, since every profile solve at finite gamma asks.
     """
     bracket = bracket_root(lambda x: contraction_factor(x, gamma) - 1.0, 0.0, 1.0)
-    return find_root(lambda x: contraction_factor(x, gamma) - 1.0, bracket, tol=_THRESHOLD_TOL)
+    return find_root(lambda x: contraction_factor(x, gamma) - 1.0, bracket)
 
 
 def dirichlet_contraction_threshold(lam: float) -> float:
@@ -219,7 +212,7 @@ def dirichlet_contraction_threshold(lam: float) -> float:
     Mirrors the flux-condition bound with the endpoint normalizer estimated
     through int_0^lam E >= (sqrt(pi)/2) erf(lam) / (1 + beta): the map
     contracts when beta (1+beta)^{3/2} (3+beta) < erf(lam); the root of the
-    equality is returned, to `_THRESHOLD_TOL` in beta.
+    equality is returned, to `find_root`'s default tolerance (1e-12 in beta).
     """
     _require("lam", lam)
     target = float(erf(lam))
@@ -227,7 +220,7 @@ def dirichlet_contraction_threshold(lam: float) -> float:
     def gap(x: float) -> float:
         return x * (1.0 + x) ** 1.5 * (3.0 + x) - target
 
-    return find_root(gap, bracket_root(gap, 0.0, 1.0), tol=_THRESHOLD_TOL)
+    return find_root(gap, bracket_root(gap, 0.0, 1.0))
 
 
 def lipschitz_bound(b: float, gamma: float) -> float:

@@ -148,9 +148,9 @@ class GridFunction:
         return nodes
 
     def __call__(self, eta):
-        """Linear interpolation at eta (scalar or array), restricted to [0, lam]."""
+        """Linear interpolation at eta (scalar or array) in [0, lam]; points in the slack read the end values."""
         pts = _check_domain(eta, self.lam, "query point")
-        out = np.interp(np.clip(pts, 0.0, self.lam), self.nodes, self.values)
+        out = np.interp(pts, self.nodes, self.values)
         if pts.ndim == 0:
             return float(out)
         return out

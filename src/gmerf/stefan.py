@@ -185,7 +185,7 @@ def solve_lambda(
 
     # balance(lo) > 0 here, and rereading it is a hit in the profile cache.
     bracket = bracket_root(balance, lo, max(_LAM_HI, 2.0 * lo), max_hi=_LAM_CAP)
-    root = find_root(balance, bracket, tol=config.root_tol)
+    root = find_root(balance, bracket)
     _warn_on_extra_roots(root, balance_rhs=rhs, beta=beta, gamma=gamma, config=config)
     return root
 
@@ -195,10 +195,8 @@ def _warn_on_extra_roots(
 ) -> None:
     # Coarse reduced-resolution scan on both sides of the root; a sign
     # inconsistent with a single downward crossing flags multiplicity.
-    scan_config = SolverConfig(
-        grid_n=201, fp_tol=1e-8, fp_max_iter=config.fp_max_iter, root_tol=config.root_tol
-    )
-    margin = 4.0 * max(config.root_tol, 1e-9) * max(1.0, root)
+    scan_config = SolverConfig(grid_n=201, fp_tol=1e-8, fp_max_iter=config.fp_max_iter)
+    margin = 4e-9 * max(1.0, root)
     below = np.geomspace(max(root / 64.0, _LAM_FLOOR), root, 7)[:-1]
     above = np.geomspace(root, _LAM_CAP, 8)[1:]
     for lam in (*below, *above):
@@ -254,19 +252,21 @@ def front_position(sol: StefanSolution, t: float) -> float:
 def temperature(sol: StefanSolution, x: float, t: float) -> float:
     """Temperature at position x in [0, s(t)] and time t > 0.
 
-    Equals tf exactly on the front. Points beyond the front are outside the
-    solved (solid) region and are rejected.
+    Equals tf exactly from the front on. Points beyond the front are outside
+    the solved (solid) region and are rejected. x and t are checked once, here;
+    the profile is then read straight from its nodes at x / (2 sqrt(alpha0 t)).
     """
     _require("t", t)
     _require("x", x, positive=False)
-    s = front_position(sol, t)
+    p = sol.physical
+    scale = 2.0 * math.sqrt(p.alpha0 * t)
+    s = sol.lambda_star * scale
     if x > s * (1.0 + 1e-12):
         raise ValueError(f"x={x:g} lies beyond the front s(t)={s:g}")
-    p = sol.physical
     if x >= s:
         return p.tf
-    eta = min(x / (2.0 * math.sqrt(p.alpha0 * t)), sol.lambda_star)
-    return p.tinf + (p.tf - p.tinf) * sol.gme.phi(eta)
+    phi = sol.gme.phi
+    return p.tinf + (p.tf - p.tinf) * float(np.interp(x / scale, phi.nodes, phi.values))
 
 
 def solve_dirichlet(

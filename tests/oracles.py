@@ -62,7 +62,7 @@ def shoot_bvp(params: GMEParams, config: SolverConfig) -> GridFunction:
     The boundary value y(0) = a parametrizes initial data via the flux
     condition (1 + beta a) y'(0) = gamma a; classical RK4 integrates each
     candidate on the config grid and a is root-found in [0, 1] until
-    y(lam) = 1 within config.root_tol on the parameter.
+    y(lam) = 1 within `find_root`'s default 1e-12 on the parameter.
 
     Raises
     ------
@@ -80,7 +80,7 @@ def shoot_bvp(params: GMEParams, config: SolverConfig) -> GridFunction:
         p0 = gamma * a / (1.0 + beta * a)
         return _rk4_profile(a, p0, lam, n, beta)[1] - 1.0
 
-    a_star = find_root(mismatch, RootBracket.from_function(mismatch, 0.0, 1.0), tol=config.root_tol)
+    a_star = find_root(mismatch, RootBracket.from_function(mismatch, 0.0, 1.0))
     p0 = gamma * a_star / (1.0 + beta * a_star)
     ys, _ = _rk4_profile(a_star, p0, lam, n, beta)
     return GridFunction(lam, ys)
@@ -100,6 +100,6 @@ def shoot_bvp_dirichlet(beta: float, lam: float, config: SolverConfig) -> GridFu
         return _rk4_profile(0.0, p0, lam, n, beta)[1] - 1.0
 
     bracket = bracket_root(mismatch, 0.0, 1.0, max_hi=2.0**40)
-    p_star = find_root(mismatch, bracket, tol=config.root_tol)
+    p_star = find_root(mismatch, bracket)
     ys, _ = _rk4_profile(0.0, p_star, lam, n, beta)
     return GridFunction(lam, ys)

@@ -105,8 +105,8 @@ TABLE = [
     ),
     (
         SolverConfig,
-        dict(grid_n=31, fp_tol=1e-10, fp_max_iter=100, root_tol=1e-12),
-        {"grid_n": POSITIVE, "fp_tol": POSITIVE, "fp_max_iter": POSITIVE, "root_tol": POSITIVE},
+        dict(grid_n=31, fp_tol=1e-10, fp_max_iter=100),
+        {"grid_n": POSITIVE, "fp_tol": POSITIVE, "fp_max_iter": POSITIVE},
     ),
     (
         GMEParams,

@@ -93,6 +93,15 @@ class TestBeta1:
         assert rows[0][1] == "" and rows[0][2] != "ok"
         assert rows[1][2] == "ok"
 
+    def test_failed_threshold_gets_row_entry_and_solver_exit(self, capsys):
+        # No bracket for the threshold at gamma = 1e-300: its row carries the
+        # solver's message and the other rows are still written.
+        code, out, _ = run(capsys, ["beta1", "--gamma", "1", "1e-300", "5"])
+        assert code == 2
+        _, rows = parse_csv(out)
+        assert [r[2] for r in rows[::2]] == ["ok", "ok"]
+        assert rows[1][1] == "" and "no sign change" in rows[1][2]
+
     def test_empty_gamma_list_is_usage_error(self, capsys):
         assert main(["beta1", "--gamma"]) == 1
 
@@ -271,6 +280,30 @@ class TestSolve:
         code, _, err = run(capsys, ["solve", "--config", str(path)])
         assert code == 1
         assert "grid_n" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("times", "14"), ("times", 5), ("times", [1.0, "x"]), ("positions", 3), ("rho", [1.2]), ("rho", 10**400)],
+        ids=["times-string", "times-number", "times-element", "positions-number", "rho-list", "rho-overflow"],
+    )
+    def test_malformed_config_value_is_usage_error(self, capsys, tmp_path, key, value):
+        # A list must be a JSON list (a string is not split into characters)
+        # and a number must convert to a float.
+        cfg = dict(rho=1.2, c=2.5, l=80.0, k0=1.7, h0=1.0, tf=1.0, tinf=-1.0, grid_n=51)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({**cfg, key: value}), encoding="utf-8")
+        code, out, err = run(capsys, ["solve", "--config", str(path)])
+        assert code == 1
+        assert out == ""
+        assert key in err
+
+    def test_numeric_strings_in_config_are_numbers(self, capsys, tmp_path):
+        cfg = dict(rho=1.2, c=2.5, l=80.0, k0=1.7, h0=1.0, tf=1.0, tinf=-1.0, times=[1.0], grid_n=51)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        _, expected, _ = run(capsys, ["solve", "--config", str(path)])
+        path.write_text(json.dumps({**cfg, "rho": "1.2", "times": ["1"]}), encoding="utf-8")
+        assert run(capsys, ["solve", "--config", str(path)]) == (0, expected, "")
 
     def test_missing_parameters_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["solve", "--rho", "1"])
@@ -459,6 +492,17 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "--spec", str(self.make_spec(tmp_path, grid_n=grid_n))])
         assert code == 1
         assert "grid_n" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("beta", "01"), ("lambda", 2.0), ("gamma", [1.0, None])],
+        ids=["beta-string", "lambda-number", "gamma-element"],
+    )
+    def test_malformed_list_is_usage_error(self, capsys, tmp_path, key, value):
+        code, out, err = run(capsys, ["sweep", "--spec", str(self.make_spec(tmp_path, **{key: value}))])
+        assert code == 1
+        assert out == ""
+        assert key in err
 
     def test_missing_list_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "spec.json"

@@ -44,7 +44,6 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.grid_n == 1001
         assert cfg.fp_tol == 1e-10
-        assert cfg.root_tol == 1e-12
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -54,7 +53,6 @@ class TestSolverConfig:
             {"fp_tol": 0.0},
             {"fp_tol": math.nan},
             {"fp_max_iter": 0},
-            {"root_tol": -1e-9},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

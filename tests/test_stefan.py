@@ -40,6 +40,20 @@ def sample_physical(**overrides):
     return PhysicalParams(**kwargs)
 
 
+def random_physical(rng):
+    # A physical case with gamma in [0.1, 10], beta below 0.9 of its threshold
+    # and Ste in [0.05, 5].
+    gamma = 10.0 ** rng.uniform(-1.0, 1.0)
+    beta = rng.uniform(0.0, 0.9) * contraction_threshold(gamma)
+    ste = 10.0 ** rng.uniform(-1.3, 0.7)
+    rho, c = rng.uniform(500.0, 9000.0), rng.uniform(100.0, 4500.0)
+    k0 = 10.0 ** rng.uniform(-1.0, 2.6)
+    tinf = rng.uniform(-60.0, 0.0)
+    tf = tinf + rng.uniform(1.0, 60.0)
+    h0 = gamma * k0 / (2.0 * math.sqrt(k0 / (rho * c)))
+    return PhysicalParams(rho=rho, c=c, l=c * (tf - tinf) / ste, k0=k0, h0=h0, tf=tf, tinf=tinf, beta=beta)
+
+
 class TestPhysicalParams:
     def test_derived_groups(self):
         p = sample_physical()
@@ -210,18 +224,26 @@ class TestSolveStefan:
         rng = np.random.default_rng(1)
         config = SolverConfig(grid_n=201)
         for _ in range(40):
-            gamma = 10.0 ** rng.uniform(-1.0, 1.0)
-            beta = rng.uniform(0.0, 0.9) * contraction_threshold(gamma)
-            ste = 10.0 ** rng.uniform(-1.3, 0.7)
-            rho, c = rng.uniform(500.0, 9000.0), rng.uniform(100.0, 4500.0)
-            k0 = 10.0 ** rng.uniform(-1.0, 2.6)
-            tinf = rng.uniform(-60.0, 0.0)
-            tf = tinf + rng.uniform(1.0, 60.0)
-            h0 = gamma * k0 / (2.0 * math.sqrt(k0 / (rho * c)))
-            p = PhysicalParams(rho=rho, c=c, l=c * (tf - tinf) / ste, k0=k0, h0=h0, tf=tf, tinf=tinf, beta=beta)
+            p = random_physical(rng)
             sol = solve_stefan(p, config)
             for t in 10.0 ** rng.uniform(0.0, 4.0, 3):
                 assert temperature(sol, front_position(sol, t), t) == p.tf
+
+    def test_temperature_is_the_profile_at_the_similarity_variable(self):
+        # Bit for bit: tf from the front on, and before it the profile's
+        # interpolant at eta = x / (2 sqrt(alpha0 t)), capped at lambda*.
+        rng = np.random.default_rng(2)
+        config = SolverConfig(grid_n=201)
+        for _ in range(24):
+            p = random_physical(rng)
+            sol = solve_stefan(p, config)
+            for t in 10.0 ** rng.uniform(-2.0, 4.0, 2):
+                s = front_position(sol, t)
+                near = [s * (1.0 - 1e-12), s * (1.0 - 1e-13), np.nextafter(s, 0.0), s, s * (1.0 + 1e-13)]
+                for x in map(float, [0.0, *rng.uniform(0.0, s, 6), *near]):
+                    eta = min(x / (2.0 * math.sqrt(p.alpha0 * t)), sol.lambda_star)
+                    direct = p.tf if x >= s else p.tinf + (p.tf - p.tinf) * sol.gme.phi(eta)
+                    assert temperature(sol, x, t) == direct, (x, t)
 
     def test_temperature_rejects_points_outside_solid_region(self):
         sol = solve_stefan(sample_physical())
