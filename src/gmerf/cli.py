@@ -7,13 +7,15 @@ byte-identical. JSON reports are UTF-8 with stable (insertion) key order.
 
 Exit codes, stable across commands: 0 success, 1 usage or validation error,
 2 solver failure. The optional ``GME_GRID_N`` environment variable overrides
-the default grid resolution; an explicit ``--grid-n`` beats both.
+the default grid resolution; an explicit ``--grid-n`` beats both. The argument
+parser is built once per process, on the first `main` call, not at import.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -54,20 +56,21 @@ _DEFAULT_GAMMAS = (0.1, 1.0, 10.0, 100.0)
 _PROFILE_POINTS = 51
 
 
-def _fmt(x: float) -> str:
-    """Canonical float text: 17 significant digits, parses back to the same double."""
-    return format(float(x), ".17g")
-
-
 def _sanitize(message: str) -> str:
     # Error text goes into single CSV cells: no commas, no line breaks.
     return message.replace(",", ";").replace("\n", " ")
 
 
+@functools.lru_cache(maxsize=64)
+def _row_template(kinds: tuple[type, ...]) -> str:
+    # Text cells as given; numbers as "%.17g", the text of format(float(x), ".17g").
+    return ",".join("%s" if issubclass(kind, str) else "%.17g" for kind in kinds)
+
+
 def _csv(header: list[str], rows) -> str:
-    """The CSV text of a table: text cells as given, every other cell through `_fmt`."""
+    """The CSV text of a table: text cells as given, every other cell with 17 significant digits."""
     lines = [",".join(header)]
-    lines += [",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows]
+    lines += [_row_template(tuple(map(type, row))) % tuple(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -271,6 +274,7 @@ def _add_grid_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gmerf", description="Temperature-dependent-conductivity solidification solver.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")

@@ -40,7 +40,7 @@ import numpy as np
 
 from .approx import _order0
 from .errors import ContractionError, FixedPointError, GmerfError
-from .numerics import SQRT_PI, GridFunction, _cumint, _require, bracket_root, erf, find_root
+from .numerics import SQRT_PI, GridFunction, _cumint, _require, _uniform_nodes, bracket_root, erf, find_root
 # Unused here; kept bound because perfbench/tracing.py wraps it at this attribute.
 from .numerics import cumulative_integral  # noqa: F401
 
@@ -149,13 +149,19 @@ def _apply(v: np.ndarray, nodes: np.ndarray, step, beta, inv_gamma) -> tuple[np.
     (..., 1). E_v(x) = exp(-2 int_0^x s / Psi_v(s) ds) / Psi_v(x),
     Psi_v = 1 + beta v, and D_v = 1 / (1/gamma + int_0^lam E_v), of shape
     (..., 1). The image is clipped at 1 and pinned to 1 at lam. No checks:
-    each row must lie in the unit band, which T maps into itself.
+    each row must lie in the unit band, which T maps into itself. In-place
+    steps keep the arithmetic order of the formulas above.
     """
-    psi = 1.0 + beta * v
-    weight = np.exp(-2.0 * _cumint(nodes / psi, step)) / psi
-    outer = _cumint(weight, step)
-    d = 1.0 / (inv_gamma + outer[..., -1:])
-    tv = d * (inv_gamma + outer)
+    psi = np.multiply(v, beta)
+    psi += 1.0
+    weight = _cumint(np.divide(nodes, psi), step)
+    weight *= -2.0
+    np.exp(weight, out=weight)
+    weight /= psi
+    tv = _cumint(weight, step)
+    d = 1.0 / (inv_gamma + tv[..., -1:])
+    tv += inv_gamma
+    tv *= d
     np.minimum(tv, 1.0, out=tv)
     tv[..., -1] = 1.0
     return tv, d, weight
@@ -273,9 +279,9 @@ class GMESolution:
 
     def __post_init__(self):
         v = self.phi.values
-        if float(np.min(v)) < 0.0 or float(np.max(v)) > 1.0:
+        if v.min() < 0.0 or v.max() > 1.0:
             raise ValueError("solution profile leaves the unit band")
-        if np.any(np.diff(v) < 0.0):
+        if (v[1:] < v[:-1]).any():
             raise ValueError("solution profile is not non-decreasing")
         if v[-1] != 1.0:
             raise ValueError("solution endpoint is not pinned at 1")
@@ -291,7 +297,7 @@ def _seed(nodes: np.ndarray, gamma) -> np.ndarray:
 
 
 def _seed_profile(params: GMEParams, n: int) -> GridFunction:
-    return GridFunction(params.lam, _seed(np.linspace(0.0, params.lam, n), params.gamma))
+    return GridFunction(params.lam, _seed(_uniform_nodes(params.lam, n), params.gamma))
 
 
 def _certified(params: GMEParams, allow_unproven: bool) -> bool:
@@ -380,7 +386,7 @@ def _solve_chunk(chunk: list[tuple[int, GMEParams, bool]], config: SolverConfig,
     lam = np.array([[p.lam] for p in params])
     beta = np.array([[p.beta] for p in params])
     gamma = np.array([[p.gamma] for p in params])
-    nodes = np.stack([np.linspace(0.0, p.lam, n) for p in params])
+    nodes = _uniform_nodes(lam, n)
     args = live_args = (nodes, lam / (n - 1), beta, 1.0 / gamma)
 
     # T maps the unit band into itself, so the loop runs on bare arrays with
@@ -393,7 +399,7 @@ def _solve_chunk(chunk: list[tuple[int, GMEParams, bool]], config: SolverConfig,
     residual = np.empty(k)
     for it in range(1, config.fp_max_iter + 1):
         nv = _apply(v, *live_args)[0]
-        res = np.max(np.abs(nv - v), axis=-1)
+        res = np.abs(np.subtract(v, nv, out=v), out=v).max(-1)  # v is spent: reuse it
         v = nv
         done = res <= config.fp_tol
         if done.any():

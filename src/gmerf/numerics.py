@@ -102,6 +102,17 @@ def erf(x):
     return y[()] if y.ndim == 0 else y
 
 
+def _uniform_nodes(lam, n: int) -> np.ndarray:
+    # np.linspace(0, lam, n) bit for bit, for a scalar lam or per row of a (k, 1)
+    # column; only a row whose step underflows takes linspace's zero-step formula.
+    i = np.arange(n, dtype=float)
+    step = np.divide(lam, n - 1)
+    zero = step == 0.0
+    nodes = np.where(zero, i / (n - 1) * lam, i * step) if zero.any() else i * step
+    nodes[..., -1:] = lam
+    return nodes
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Real values sampled on the uniform grid 0 = eta_0 < ... < eta_{n-1} = lam.
@@ -129,7 +140,7 @@ class GridFunction:
         _require("grid endpoint", self.lam)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("values must be a 1-d array with at least 2 samples")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("grid values must all be finite")
 
     @property
@@ -143,7 +154,7 @@ class GridFunction:
     @cached_property
     def nodes(self) -> np.ndarray:
         # Built once per instance: point queries read it on every call.
-        nodes = np.linspace(0.0, self.lam, self.n)
+        nodes = _uniform_nodes(self.lam, self.n)
         nodes.setflags(write=False)
         return nodes
 
@@ -176,7 +187,8 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
 
 def _cumint(v: np.ndarray, h) -> np.ndarray:
     # Array form of cumulative_integral along the last axis of v. The step h
-    # is a scalar or a column with one step per row (shape (..., 1)).
+    # is a scalar or a column with one step per row (shape (..., 1)). Panel
+    # sums are built in place, keeping the operation order of the formulas.
     n = v.shape[-1]
     out = np.zeros(v.shape)
     if n == 2:
@@ -184,31 +196,33 @@ def _cumint(v: np.ndarray, h) -> np.ndarray:
         return out
 
     m = 2 * ((n - 1) // 2)  # last even node
-    left = v[..., 0 : m - 1 : 2]
-    mid = v[..., 1:m:2]
-    right = v[..., 2 : m + 1 : 2]
-    np.cumsum((h / 3.0) * (left + 4.0 * mid + right), axis=-1, out=out[..., 2 : m + 1 : 2])
+    pairs = np.multiply(v[..., 1:m:2], 4.0)  # contiguous: faster than in the strided output
+    pairs += v[..., 0 : m - 1 : 2]
+    pairs += v[..., 2 : m + 1 : 2]
+    pairs *= h / 3.0
+    np.cumsum(pairs, axis=-1, out=out[..., 2 : m + 1 : 2])
 
     # Odd node i closes the panel (i-2, i-1, i); node 1 uses (0, 1, 2).
     h12 = h / 12.0
     a, b, c = v[..., 0:1], v[..., 1:2], v[..., 2:3]
-    first = h12 * (5.0 * a + 8.0 * b - c)
+    first = np.multiply(h12, 5.0 * a + 8.0 * b - c, out=out[..., 1:2])
     _floor_panels(first, a, b, c)
-    out[..., 1:2] = first
     if n > 3:
         a, b, c = v[..., 1 : n - 2 : 2], v[..., 2 : n - 1 : 2], v[..., 3:n:2]
-        panel = h12 * (-a + 8.0 * b + 5.0 * c)
+        panel = np.multiply(b, 8.0)  # 8b - a is -a + 8b, bit for bit
+        panel -= a
+        panel += 5.0 * c
+        panel *= h12
         _floor_panels(panel, a, b, c)
-        out[..., 3:n:2] = out[..., 2 : n - 1 : 2] + panel
+        np.add(out[..., 2 : n - 1 : 2], panel, out=out[..., 3:n:2])
     return out
 
 
 def _floor_panels(panel: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
     # Sets to zero, in place, each negative closing panel whose samples a, b, c
     # are all non-negative; the sample test runs only when a panel is negative.
-    neg = panel < 0.0
-    if neg.any():
-        panel[neg & (np.minimum(np.minimum(a, b), c) >= 0.0)] = 0.0
+    if np.fmin.reduce(panel, axis=None) < 0.0:
+        panel[(panel < 0.0) & (np.minimum(np.minimum(a, b), c) >= 0.0)] = 0.0
 
 
 @dataclass(frozen=True)

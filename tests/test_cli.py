@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gmerf
-from gmerf import fixed_point, stefan
+from gmerf import cli, fixed_point, stefan
 from gmerf.cli import main
 from gmerf.errors import GmerfError
 from gmerf.fixed_point import GMEParams, SolverConfig, solve_gme
@@ -64,6 +64,51 @@ class TestTopLevel:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
+
+
+class TestParserOncePerProcess:
+    def test_import_builds_none_and_two_calls_build_one(self):
+        code = (
+            "import contextlib, io, gmerf.cli as cli; built = [cli._build_parser.cache_info().misses]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['beta1', '--gamma', '1']); cli.main(['beta1', '--gamma', '2'])\n"
+            "print(*built, cli._build_parser.cache_info().misses)"
+        )
+        src = str(Path(gmerf.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["0", "1"]
+
+    def test_grid_env_is_read_on_every_call(self, capsys, monkeypatch):
+        for n in (11, 21, 11):
+            monkeypatch.setenv("GME_GRID_N", str(n))
+            code, out, _ = run(capsys, ["gme", "--beta", "0", "--gamma", "1", "--lambda", "1"])
+            assert code == 0
+            assert len(parse_csv(out)[1]) == n
+
+    @pytest.mark.parametrize("argv", [["gme", "--beta", "x"], ["frobnicate"], []])
+    def test_usage_error_is_the_same_on_a_second_call(self, capsys, argv):
+        cli._build_parser.cache_clear()
+        first = run(capsys, argv)
+        assert first[0] == 1 and first[2].startswith("usage: gmerf")
+        assert run(capsys, argv) == first
+        assert cli._build_parser.cache_info().misses == 1
+
+
+class TestCsvCells:
+    def test_matches_per_cell_format(self):
+        rows = [
+            ["text", "", 3, True, False, np.float64(0.1), np.int64(-7), math.nan],
+            ("5% of a;b", math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 2**70, np.float64(-0.0)),
+            [np.float64(1e16), 1 / 3, "ok", 0, np.int64(2**53 + 1), -5e-324, 1e-300, "x"],
+            ["text", "", 3, True, False, np.float64(2.5), np.int64(0), 7.0],  # a repeated shape
+        ]
+        want = ["a,b,c,d,e,f,g,h"]
+        want += [",".join(c if isinstance(c, str) else format(float(c), ".17g") for c in row) for row in rows]
+        assert cli._csv(["a", "b", "c", "d", "e", "f", "g", "h"], iter(rows)) == "\n".join(want) + "\n"
+
+    def test_empty_table_is_its_header(self):
+        assert cli._csv(["eta", "phi"], []) == "eta,phi\n"
 
 
 class TestBeta1:

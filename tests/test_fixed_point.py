@@ -25,7 +25,7 @@ from gmerf.fixed_point import (
     normalizing_coefficient,
     solve_gme,
 )
-from gmerf.numerics import GridFunction, erf
+from gmerf.numerics import GridFunction, _cumint, _uniform_nodes, erf
 from oracles import shoot_bvp_dirichlet
 
 SQRT_PI = math.sqrt(math.pi)
@@ -149,6 +149,104 @@ class TestOperatorPieces:
         params = GMEParams(0.2, 1.0, 2.0)
         with pytest.raises(ValueError):
             fixed_point_map(GridFunction(1.0, np.linspace(0.0, 1.0, 101)), params)
+
+
+def _cumint_ref(v, h):
+    # The quadrature kernel written as plain out-of-place expressions; the
+    # in-place kernel must reproduce it bit for bit.
+    n = v.shape[-1]
+    out = np.zeros(v.shape)
+    if n == 2:
+        out[..., 1:] = 0.5 * h * (v[..., 0:1] + v[..., 1:2])
+        return out
+
+    m = 2 * ((n - 1) // 2)  # last even node
+    left = v[..., 0 : m - 1 : 2]
+    mid = v[..., 1:m:2]
+    right = v[..., 2 : m + 1 : 2]
+    np.cumsum((h / 3.0) * (left + 4.0 * mid + right), axis=-1, out=out[..., 2 : m + 1 : 2])
+
+    h12 = h / 12.0
+    a, b, c = v[..., 0:1], v[..., 1:2], v[..., 2:3]
+    first = h12 * (5.0 * a + 8.0 * b - c)
+    _floor_panels_ref(first, a, b, c)
+    out[..., 1:2] = first
+    if n > 3:
+        a, b, c = v[..., 1 : n - 2 : 2], v[..., 2 : n - 1 : 2], v[..., 3:n:2]
+        panel = h12 * (-a + 8.0 * b + 5.0 * c)
+        _floor_panels_ref(panel, a, b, c)
+        out[..., 3:n:2] = out[..., 2 : n - 1 : 2] + panel
+    return out
+
+
+def _floor_panels_ref(panel, a, b, c):
+    neg = panel < 0.0
+    if neg.any():
+        panel[neg & (np.minimum(np.minimum(a, b), c) >= 0.0)] = 0.0
+
+
+def _apply_ref(v, nodes, step, beta, inv_gamma):
+    # The operator written as plain out-of-place expressions on _cumint_ref.
+    psi = 1.0 + beta * v
+    weight = np.exp(-2.0 * _cumint_ref(nodes / psi, step)) / psi
+    outer = _cumint_ref(weight, step)
+    d = 1.0 / (inv_gamma + outer[..., -1:])
+    tv = d * (inv_gamma + outer)
+    np.minimum(tv, 1.0, out=tv)
+    tv[..., -1] = 1.0
+    return tv, d, weight
+
+
+def _kernel_rows(rng, n):
+    # Seeded rows of mixed sign, rows of non-negative samples whose first or
+    # tail closing panels come out negative (and are floored), and a smooth
+    # decaying tail.
+    rows = [rng.standard_normal(n), rng.uniform(0.0, 1.0, n), np.exp(-np.linspace(0.0, 40.0, n))]
+    first = np.zeros(n)
+    first[2:] = 1.0  # 5a + 8b - c < 0 on the first panel
+    tail = np.zeros(n)
+    tail[1::4] = 1.0  # -a + 8b + 5c < 0 on the panels closing two nodes later
+    spiky = rng.uniform(0.0, 1.0, n) * (rng.uniform(0.0, 1.0, n) < 0.3)
+    return np.stack(rows + [first, tail, spiky])
+
+
+class TestKernelBitIdentity:
+    NS = [2, 3, 4, 5, 6, 7, 8, 9, 200, 201]
+
+    @pytest.mark.parametrize("n", NS)
+    def test_cumint_matches_the_expression_form(self, n):
+        rng = np.random.default_rng(100 + n)
+        v = _kernel_rows(rng, n)
+        steps = rng.uniform(1e-3, 2.0, (v.shape[0], 1))
+        for h in (0.0125, 1.7, steps):
+            assert _cumint(v, h).tobytes() == _cumint_ref(v, h).tobytes()
+        for row in v:
+            assert _cumint(row, 0.3).tobytes() == _cumint_ref(row, 0.3).tobytes()
+
+    def test_rows_exercise_both_floors(self):
+        # Row 3 floors its first closing panel, row 4 the tail panel at node 3.
+        v = _kernel_rows(np.random.default_rng(0), 9)
+        out = _cumint_ref(v, 0.1)
+        assert 5.0 * v[3, 0] + 8.0 * v[3, 1] - v[3, 2] < 0.0 and out[3, 1] == 0.0
+        assert -v[4, 1] + 8.0 * v[4, 2] + 5.0 * v[4, 3] < 0.0 and out[4, 3] == out[4, 2]
+
+    @pytest.mark.parametrize("n", NS)
+    def test_apply_matches_the_expression_form(self, n):
+        rng = np.random.default_rng(200 + n)
+        k = 5
+        lams = np.array([[0.05], [0.7], [1.0], [2.5], [6.0]])
+        nodes = np.stack([np.linspace(0.0, lam, n) for lam in lams[:, 0]])
+        steps = lams / (n - 1)
+        betas = np.array([[0.0], [0.1], [0.3], [1.5], [0.02]])
+        inv_gammas = np.array([[1.0], [0.0], [0.1], [10.0], [0.0]])  # zeros are gamma = inf
+        v = np.sort(rng.uniform(0.0, 1.0, (k, n)), axis=-1)
+        v[:, -1] = 1.0
+        for got, want in zip(_apply(v, nodes, steps, betas, inv_gammas), _apply_ref(v, nodes, steps, betas, inv_gammas)):
+            assert got.tobytes() == want.tobytes()
+        for j in range(k):
+            row = (v[j], nodes[j], float(steps[j, 0]), float(betas[j, 0]), float(inv_gammas[j, 0]))
+            for got, want in zip(_apply(*row), _apply_ref(*row)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestContraction:
@@ -380,6 +478,32 @@ class TestSolveRows:
 
     def test_empty_batch(self):
         assert _solve_rows([], DEFAULT_CONFIG) == []
+
+    def test_nodes_match_lone_solves_next_to_an_underflowing_step(self):
+        # At lam = 1e-322 the step lam / 200 underflows to 0; its row alone takes
+        # linspace's zero-step formula, so its neighbours keep their lone nodes
+        # and iterate to the same bits as their lone solves.
+        config = SolverConfig(grid_n=201)
+        points = [(0.1, 1.0, 0.7), (0.1, 1.0, 1e-322), (0.1, 1.0, 1.3)]
+        results = _solve_rows(points, config)
+        for point, got in zip(points, results):
+            want = solve_gme(GMEParams(*point), config)
+            assert got.phi.nodes.tobytes() == want.phi.nodes.tobytes()
+            assert got.phi.nodes.tobytes() == np.linspace(0.0, point[2], config.grid_n).tobytes()
+        for j in (0, 2):
+            got, want = results[j], solve_gme(GMEParams(*points[j]), config)
+            fields = (got.phi.values.tobytes(), got.d_coeff, got.phi_prime_lambda, got.iterations, got.residual)
+            assert fields == (want.phi.values.tobytes(), want.d_coeff, want.phi_prime_lambda, want.iterations, want.residual)
+            values, d, slope, iterations, residual = lone_picard(GMEParams(*points[j]), config)
+            assert fields == (values.tobytes(), d, slope, iterations, residual)
+
+    @pytest.mark.parametrize("n", [2, 3, 201, 1001])
+    def test_chunk_nodes_are_linspace_per_row(self, n):
+        lams = np.array([[0.7], [1e-322], [5e-324], [1.3], [50.0]])
+        nodes = _uniform_nodes(lams, n)
+        for lam, row in zip(lams[:, 0], nodes):
+            assert row.tobytes() == np.linspace(0.0, lam, n).tobytes()
+            assert row.tobytes() == _uniform_nodes(float(lam), n).tobytes()
 
 
 class TestPrescribedValueVariant:
