@@ -6,9 +6,9 @@ printed with 17 significant digits, so a file parsed and re-emitted is
 byte-identical. JSON reports are UTF-8 with stable (insertion) key order.
 
 Exit codes, stable across commands: 0 success, 1 usage or validation error,
-2 solver failure. The optional ``GME_GRID_N`` environment variable overrides
-the default grid resolution; an explicit ``--grid-n`` beats both. The argument
-parser is built once per process, on the first `main` call, not at import.
+2 solver failure. The grid resolution is ``--grid-n``, else a config or spec
+file's ``grid_n``, else 1001. The argument parser is built once per process,
+on the first `main` call, not at import.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -87,25 +86,10 @@ def _emit(text: str, out: str | Path | None) -> None:
             fh.write(text)
 
 
-def _resolve_grid_n(flag_value: int | None, file_value=None) -> int:
-    """Grid resolution precedence: --grid-n flag, config file, GME_GRID_N, 1001.
-
-    A flag or file value is returned as given; SolverConfig validates it.
-    """
-    for value in (flag_value, file_value):
-        if value is not None:
-            return value
-    env = os.environ.get("GME_GRID_N")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"GME_GRID_N must be an integer, got {env!r}") from None
-    return DEFAULT_CONFIG.grid_n
-
-
 def _config_from(args: argparse.Namespace, file_value=None) -> SolverConfig:
-    return SolverConfig(grid_n=_resolve_grid_n(args.grid_n, file_value))
+    """The solve settings: grid_n from --grid-n, else the file's grid_n, else 1001; SolverConfig validates it."""
+    grid_n = next((value for value in (args.grid_n, file_value) if value is not None), DEFAULT_CONFIG.grid_n)
+    return SolverConfig(grid_n=grid_n)
 
 
 def _cmd_beta1(args: argparse.Namespace) -> int:
@@ -270,7 +254,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_grid_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-n", type=int, default=None, help="grid nodes (default 1001; GME_GRID_N overrides)")
+    p.add_argument("--grid-n", type=int, default=None, help="grid nodes, >= 3; beats a file's grid_n (default 1001)")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 

@@ -66,9 +66,15 @@ _BAND_TOL = 1e-9
 _CHUNK_ELEMENTS = 8192
 
 
+# Picard iteration cap. Observed convergence is far faster than the certified
+# geometric rate g(beta), so the cap is headroom for slopes near the
+# contraction threshold, not a cost: converged runs stop at the tolerance.
+_FP_MAX_ITER = 20000
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs shared by the solvers (root searches use `find_root`'s default tol, 1e-12).
+    """The two solver settings, grid and Picard tolerance (the iteration cap is `_FP_MAX_ITER`).
 
     Attributes
     ----------
@@ -76,23 +82,15 @@ class SolverConfig:
         Number of uniform nodes on [0, lam], at least 3.
     fp_tol : float
         Picard stopping tolerance on the sup-norm update.
-    fp_max_iter : int
-        Iteration cap for Picard. Observed convergence is far faster than
-        the certified geometric rate g(beta), so the generous default is
-        headroom for slopes near the contraction threshold, not a cost:
-        converged runs stop at the tolerance.
     """
 
     grid_n: int = 1001
     fp_tol: float = 1e-10
-    fp_max_iter: int = 20000
 
     def __post_init__(self):
         if not (isinstance(self.grid_n, int) and self.grid_n >= 3):
             raise ValueError(f"grid_n must be an integer >= 3, got {self.grid_n!r}")
         _require("fp_tol", self.fp_tol)
-        if not (isinstance(self.fp_max_iter, int) and self.fp_max_iter >= 1):
-            raise ValueError(f"fp_max_iter must be a positive integer, got {self.fp_max_iter}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -205,8 +203,8 @@ def contraction_threshold(gamma: float) -> float:
     """Unique positive root of g(x) = 1: Picard is certified below it.
 
     Strictly decreasing in gamma (roughly 2/(3 sqrt(pi) gamma) for large gamma).
-    Found to `find_root`'s default tolerance (1e-12 in x) and cached per
-    gamma, since every profile solve at finite gamma asks.
+    Found to `find_root`'s absolute 1e-12 in x and cached per gamma, since
+    every profile solve at finite gamma asks.
     """
     bracket = bracket_root(lambda x: contraction_factor(x, gamma) - 1.0, 0.0, 1.0)
     return find_root(lambda x: contraction_factor(x, gamma) - 1.0, bracket)
@@ -218,15 +216,20 @@ def dirichlet_contraction_threshold(lam: float) -> float:
     Mirrors the flux-condition bound with the endpoint normalizer estimated
     through int_0^lam E >= (sqrt(pi)/2) erf(lam) / (1 + beta): the map
     contracts when beta (1+beta)^{3/2} (3+beta) < erf(lam); the root of the
-    equality is returned, to `find_root`'s default tolerance (1e-12 in beta).
+    equality is returned, to `find_root`'s absolute 1e-12 in beta.
     """
     _require("lam", lam)
     target = float(erf(lam))
 
     def gap(x: float) -> float:
-        return x * (1.0 + x) ** 1.5 * (3.0 + x) - target
+        return _dirichlet_factor(x) - target
 
     return find_root(gap, bracket_root(gap, 0.0, 1.0))
+
+
+def _dirichlet_factor(x: float) -> float:
+    # The prescribed-value contraction condition is _dirichlet_factor(beta) < erf(lam).
+    return x * (1.0 + x) ** 1.5 * (3.0 + x)
 
 
 def lipschitz_bound(b: float, gamma: float) -> float:
@@ -301,13 +304,15 @@ def _seed_profile(params: GMEParams, n: int) -> GridFunction:
 
 
 def _certified(params: GMEParams, allow_unproven: bool) -> bool:
-    # Whether beta is below the certified threshold; raises ContractionError
-    # when it is not and the override is off.
+    # Whether the contraction inequality holds at beta; raises ContractionError
+    # when not and the override is off. The cached threshold is only 1e-12
+    # accurate, so the inequality itself settles a refusal.
     if params.dirichlet:
         threshold = dirichlet_contraction_threshold(params.lam)
+        certified = params.beta < threshold or _dirichlet_factor(params.beta) < float(erf(params.lam))
     else:
         threshold = contraction_threshold(params.gamma)
-    certified = params.beta < threshold
+        certified = params.beta < threshold or contraction_factor(params.beta, params.gamma) < 1.0
     if not certified and not allow_unproven:
         raise ContractionError(
             f"beta={params.beta:g} is at or above the certified contraction "
@@ -397,7 +402,7 @@ def _solve_chunk(chunk: list[tuple[int, GMEParams, bool]], config: SolverConfig,
     final = np.empty_like(v)
     iterations = np.zeros(k, dtype=int)
     residual = np.empty(k)
-    for it in range(1, config.fp_max_iter + 1):
+    for it in range(1, _FP_MAX_ITER + 1):
         nv = _apply(v, *live_args)[0]
         res = np.abs(np.subtract(v, nv, out=v), out=v).max(-1)  # v is spent: reuse it
         v = nv
@@ -419,9 +424,9 @@ def _solve_chunk(chunk: list[tuple[int, GMEParams, bool]], config: SolverConfig,
             last = float(residual[row])
             results[i] = FixedPointError(
                 f"Picard iteration did not reach tol={config.fp_tol:g} in "
-                f"{config.fp_max_iter} iterations (last update {last:g})",
+                f"{_FP_MAX_ITER} iterations (last update {last:g})",
                 residual=last,
-                iterations=config.fp_max_iter,
+                iterations=_FP_MAX_ITER,
             )
             continue
         try:

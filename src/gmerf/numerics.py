@@ -274,54 +274,50 @@ def bracket_root(f: Callable[[float], float], lo: float, hi: float, *, max_hi: f
     raise BracketError(f"no sign change found growing the bracket up to hi={hi:g}")
 
 
-def find_root(
-    f: Callable[[float], float],
-    bracket: RootBracket,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
-    """Root of f inside the bracket, to absolute tolerance tol on the abscissa.
+def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
+    """Root of f inside the bracket, to absolute tolerance 1e-12 on the abscissa.
 
     Brent's method with a bisection fallback (convergence guaranteed for a
     valid bracket), started from the bracket's stored endpoint values. The
-    result always lies inside [bracket.lo, bracket.hi].
+    result always lies inside [bracket.lo, bracket.hi]; an endpoint whose
+    stored value is exactly 0 is returned as is.
 
     Raises
     ------
     ValueError
-        If tol is not finite and positive, max_iter is negative, or f
-        returns nan.
+        If f returns nan.
     RootConvergenceError
-        If the iteration cap is reached first; the best estimate is attached.
+        If 200 iterations pass first; the best estimate is attached.
     """
-    _require("tol", tol)
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     if bracket.f_lo == 0.0:
         return bracket.lo
     if bracket.f_hi == 0.0:
         return bracket.hi
-    root, converged = _brent(f, bracket, tol, max_iter)
+    root, converged = _brent(f, bracket)
     if not converged:
         raise RootConvergenceError(
-            f"root finding stopped after {max_iter} iterations "
+            f"root finding stopped after {_BRENT_MAX_ITER} iterations "
             f"(best estimate {root:.17g})",
             best=root,
         )
     return root
 
 
-_BRENT_RTOL = 4.0 * math.ulp(1.0)  # 4 eps
+# Brent's stopping rule: a step below 1e-12 plus 4 eps relative, within 200
+# iterations.
+_ROOT_TOL = 1e-12
+_BRENT_RTOL = 4.0 * math.ulp(1.0)
+_BRENT_MAX_ITER = 200
 
 
-def _brent(f: Callable[[float], float], bracket: RootBracket, xtol: float, max_iter: int) -> tuple[float, bool]:
+def _brent(f: Callable[[float], float], bracket: RootBracket) -> tuple[float, bool]:
     # Brent's method (Brent 1973, ch. 4), a line-by-line port of the common
     # brentq.c with rtol = 4 eps; the bracket supplies both endpoint values
     # and their sign change. Returns the last iterate and whether it converged.
     xpre, xcur = float(bracket.lo), float(bracket.hi)
     fpre, fcur = float(bracket.f_lo), float(bracket.f_hi)
     xblk = fblk = spre = scur = 0.0
-    for _ in range(max_iter):
+    for _ in range(_BRENT_MAX_ITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -329,7 +325,7 @@ def _brent(f: Callable[[float], float], bracket: RootBracket, xtol: float, max_i
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        delta = (_ROOT_TOL + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur, True

@@ -186,16 +186,16 @@ def solve_lambda(
     # balance(lo) > 0 here, and rereading it is a hit in the profile cache.
     bracket = bracket_root(balance, lo, max(_LAM_HI, 2.0 * lo), max_hi=_LAM_CAP)
     root = find_root(balance, bracket)
-    _warn_on_extra_roots(root, balance_rhs=rhs, beta=beta, gamma=gamma, config=config)
+    _warn_on_extra_roots(root, balance_rhs=rhs, beta=beta, gamma=gamma)
     return root
 
 
-def _warn_on_extra_roots(
-    root: float, *, balance_rhs: float, beta: float, gamma: float, config: SolverConfig
-) -> None:
+_SCAN_CONFIG = SolverConfig(grid_n=201, fp_tol=1e-8)
+
+
+def _warn_on_extra_roots(root: float, *, balance_rhs: float, beta: float, gamma: float) -> None:
     # Coarse reduced-resolution scan on both sides of the root; a sign
     # inconsistent with a single downward crossing flags multiplicity.
-    scan_config = SolverConfig(grid_n=201, fp_tol=1e-8, fp_max_iter=config.fp_max_iter)
     margin = 4e-9 * max(1.0, root)
     below = np.geomspace(max(root / 64.0, _LAM_FLOOR), root, 7)[:-1]
     above = np.geomspace(root, _LAM_CAP, 8)[1:]
@@ -203,7 +203,7 @@ def _warn_on_extra_roots(
         # -1 below the root, +1 above it, 0 within the margin; the balance
         # must be positive below and negative above.
         side = int(lam > root + margin) - int(lam < root - margin)
-        if side and side * (boundary_slope_ratio(lam, beta, gamma, scan_config) - balance_rhs) > 0.0:
+        if side and side * (boundary_slope_ratio(lam, beta, gamma, _SCAN_CONFIG) - balance_rhs) > 0.0:
             warnings.warn(
                 f"front balance changes sign again near lam={lam:.3g}; "
                 f"smallest root {root:.6g} returned",
@@ -269,23 +269,15 @@ def temperature(sol: StefanSolution, x: float, t: float) -> float:
     return p.tinf + (p.tf - p.tinf) * float(np.interp(x / scale, phi.nodes, phi.values))
 
 
-def solve_dirichlet(
-    beta: float,
-    lam: float,
-    config: SolverConfig = DEFAULT_CONFIG,
-    *,
-    allow_unproven: bool = True,
-) -> GMESolution:
+def solve_dirichlet(beta: float, lam: float, config: SolverConfig = DEFAULT_CONFIG) -> GMESolution:
     """Prescribed-value profile: y(0) = 0, y(lam) = 1 (the gamma -> inf limit).
 
-    Certified below `dirichlet_contraction_threshold`; by default larger
-    slopes are attempted anyway and a converged result is returned flagged
-    ``contraction_certified=False`` (pass ``allow_unproven=False`` to refuse
-    instead).
+    Certified below `dirichlet_contraction_threshold`; larger slopes are
+    attempted anyway and a converged result is returned flagged
+    ``contraction_certified=False``. For a solve that refuses them instead,
+    call ``solve_gme(GMEParams(beta, math.inf, lam))``.
     """
-    return solve_gme(
-        GMEParams(beta=beta, gamma=math.inf, lam=lam), config, allow_unproven=allow_unproven
-    )
+    return solve_gme(GMEParams(beta=beta, gamma=math.inf, lam=lam), config, allow_unproven=True)
 
 
 def dirichlet_gap(

@@ -5,10 +5,9 @@ every other argument, and each value outside the argument's domain must raise
 ValueError. A second table checks that the edge values inside each domain are
 still accepted, so the two together pin the domains in both directions.
 
-The root finder's tolerance (the `tol` of `find_root`) is in the table, and
-so are the points of the point evaluators, which must lie in [0, lam] (nan
-included). Not in the table: `find_root`'s `max_iter`, a caller-chosen budget
-rather than problem data, and `RootBracket`, whose field checks raise
+The points of the point evaluators are in the table; they must lie in
+[0, lam] (nan included). Not in the table: `find_root`, whose only inputs are
+a function and a bracket, and `RootBracket`, whose field checks raise
 BracketError.
 """
 
@@ -22,7 +21,6 @@ from gmerf import (
     GMEParams,
     GridFunction,
     PhysicalParams,
-    RootBracket,
     SolverConfig,
     approx_coeffs,
     approx_error,
@@ -31,7 +29,6 @@ from gmerf import (
     contraction_threshold,
     dirichlet_contraction_threshold,
     dirichlet_gap,
-    find_root,
     first_order,
     front_position,
     lipschitz_bound,
@@ -90,24 +87,11 @@ def _grid_function_call(eta):
     return GridFunction(1.0, [0.0, 1.0])(eta)
 
 
-def _sqrt_two_gap(x):
-    return x * x - 2.0
-
-
 # (entry, valid keyword arguments, {argument: values that must be rejected})
 TABLE = [
     (GridFunction, dict(lam=1.0, values=[0.0, 1.0]), {"lam": POSITIVE}),
     (_grid_function_call, dict(eta=0.5), {"eta": IN_UNIT_INTERVAL}),
-    (
-        find_root,
-        dict(f=_sqrt_two_gap, bracket=RootBracket(1.0, 2.0, -1.0, 2.0), tol=1e-12),
-        {"tol": POSITIVE},
-    ),
-    (
-        SolverConfig,
-        dict(grid_n=31, fp_tol=1e-10, fp_max_iter=100),
-        {"grid_n": POSITIVE, "fp_tol": POSITIVE, "fp_max_iter": POSITIVE},
-    ),
+    (SolverConfig, dict(grid_n=31, fp_tol=1e-10), {"grid_n": POSITIVE, "fp_tol": POSITIVE}),
     (
         GMEParams,
         dict(beta=0.1, gamma=1.0, lam=1.0),

@@ -79,13 +79,6 @@ class TestParserOncePerProcess:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
         assert out.split() == ["0", "1"]
 
-    def test_grid_env_is_read_on_every_call(self, capsys, monkeypatch):
-        for n in (11, 21, 11):
-            monkeypatch.setenv("GME_GRID_N", str(n))
-            code, out, _ = run(capsys, ["gme", "--beta", "0", "--gamma", "1", "--lambda", "1"])
-            assert code == 0
-            assert len(parse_csv(out)[1]) == n
-
     @pytest.mark.parametrize("argv", [["gme", "--beta", "x"], ["frobnicate"], []])
     def test_usage_error_is_the_same_on_a_second_call(self, capsys, argv):
         cli._build_parser.cache_clear()
@@ -198,17 +191,6 @@ class TestGme:
         assert text.endswith("\n")
         assert reemit(text) == text
 
-    def test_grid_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("GME_GRID_N", "51")
-        code, out, _ = run(capsys, ["gme", "--beta", "0", "--gamma", "1", "--lambda", "1"])
-        assert code == 0
-        _, rows = parse_csv(out)
-        assert len(rows) == 51
-
-    def test_bad_grid_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("GME_GRID_N", "bogus")
-        assert main(["gme", "--beta", "0", "--gamma", "1", "--lambda", "1"]) == 1
-
     def test_evaluates_erf_at_most_five_times(self, capsys, monkeypatch):
         # Three calls on the nodes (Picard seed, phi0, phi1) and two on lambda
         # (the first-order constants, phi0's normalizer).
@@ -272,6 +254,17 @@ class TestHscan:
         code, _, err = run(capsys, ["hscan", "--beta", "0", "--gamma", "1", "--lmin", "0", "--lmax", "2", "--steps", "3"])
         assert code == 1
         assert "lmin" in err
+
+    @pytest.mark.parametrize(
+        "lmax, steps, message",
+        [("0.5", "3", "--lmax must be >= --lmin"), ("2", "0", "--steps must be >= 1")],
+        ids=["lmax-below-lmin", "no-steps"],
+    )
+    def test_bad_scan_range_is_usage_error(self, capsys, lmax, steps, message):
+        argv = ["hscan", "--beta", "0", "--gamma", "1", "--lmin", "1", "--lmax", lmax, "--steps", steps]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert message in err
 
 
 class TestSolve:
@@ -341,6 +334,21 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert key in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ([1.2, 2.5], "config file must hold a JSON object, got list"),
+            ({**dict(rho=1.2, c=2.5, l=80.0, k0=1.7, h0=1.0, tf=1.0, tinf=-1.0), "times": []}, "times must list"),
+        ],
+        ids=["list-file", "no-times"],
+    )
+    def test_unusable_config_is_usage_error(self, capsys, tmp_path, content, message):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(content), encoding="utf-8")
+        code, out, err = run(capsys, ["solve", "--config", str(path)])
+        assert (code, out) == (1, "")
+        assert message in err
 
     def test_numeric_strings_in_config_are_numbers(self, capsys, tmp_path):
         cfg = dict(rho=1.2, c=2.5, l=80.0, k0=1.7, h0=1.0, tf=1.0, tinf=-1.0, times=[1.0], grid_n=51)
@@ -553,6 +561,22 @@ class TestSweep:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"beta": [0.0], "gamma": [1.0]}), encoding="utf-8")
         assert main(["sweep", "--spec", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "spec, flags, message",
+        [
+            ({"beta": [], "gamma": [1.0], "lambda": [1.0]}, [], "must be non-empty"),
+            ({"beta": [0.0], "gamma": [1.0], "lambda": [1.0]}, ["--jobs", "0"], "--jobs must be >= 1"),
+            ([0.0, 1.0, 1.0], [], "sweep spec must hold a JSON object, got list"),
+        ],
+        ids=["empty-beta", "no-jobs", "list-file"],
+    )
+    def test_unusable_spec_is_usage_error(self, capsys, tmp_path, spec, flags, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run(capsys, ["sweep", "--spec", str(path), *flags])
+        assert (code, out) == (1, "")
+        assert message in err
 
     def test_malformed_json_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "spec.json"

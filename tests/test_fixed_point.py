@@ -52,7 +52,6 @@ class TestSolverConfig:
             {"grid_n": 10.0},
             {"fp_tol": 0.0},
             {"fp_tol": math.nan},
-            {"fp_max_iter": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -384,9 +383,26 @@ class TestSolveGme:
         v = sol.phi.values
         assert np.all(np.diff(v) >= 0.0) and v[-1] == 1.0
 
-    def test_iteration_cap_raises_with_diagnostics(self):
+    @pytest.mark.parametrize(
+        "params",
+        [GMEParams(0.0, 1e13, 1.0), GMEParams(0.0, math.inf, 1e-300)],
+        ids=["threshold-rounds-to-zero", "prescribed-value-tiny-lam"],
+    )
+    def test_slope_meeting_the_inequality_is_certified(self, params):
+        # The threshold is found to 1e-12 absolute and comes out at or below
+        # beta = 0 here, though the contraction inequality holds at beta = 0.
+        sol = solve_gme(params, SolverConfig(grid_n=31))
+        assert sol.contraction_certified
+
+    def test_slope_failing_the_inequality_is_refused_at_huge_gamma(self):
+        assert contraction_factor(1e-10, 1e13) > 1.0
+        with pytest.raises(ContractionError):
+            solve_gme(GMEParams(1e-10, 1e13, 1.0), SolverConfig(grid_n=31))
+
+    def test_iteration_cap_raises_with_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(fixed_point, "_FP_MAX_ITER", 1)
         with pytest.raises(FixedPointError) as excinfo:
-            solve_gme(GMEParams(0.25, 1.0, 2.0), SolverConfig(fp_max_iter=1))
+            solve_gme(GMEParams(0.25, 1.0, 2.0))
         assert excinfo.value.iterations == 1
         assert math.isfinite(excinfo.value.residual)
 
@@ -412,7 +428,7 @@ def lone_picard(params, config):
     first three are None when the iteration cap is reached.
     """
     h = _seed_profile(params, config.grid_n)
-    for iterations in range(1, config.fp_max_iter + 1):
+    for iterations in range(1, fixed_point._FP_MAX_ITER + 1):
         nh = fixed_point_map(h, params)
         residual = float(np.max(np.abs(nh.values - h.values)))
         h = nh
@@ -441,7 +457,8 @@ class TestSolveRows:
     @pytest.mark.parametrize("allow_unproven", [False, True])
     @pytest.mark.parametrize("chunk_rows", [None, 3])
     def test_matches_lone_solves(self, monkeypatch, max_iter, allow_unproven, chunk_rows):
-        config = SolverConfig(grid_n=101, fp_max_iter=max_iter)
+        config = SolverConfig(grid_n=101)
+        monkeypatch.setattr(fixed_point, "_FP_MAX_ITER", max_iter)
         if chunk_rows is not None:
             monkeypatch.setattr(fixed_point, "_CHUNK_ELEMENTS", chunk_rows * config.grid_n)
         results = _solve_rows(self.POINTS, config, allow_unproven=allow_unproven)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmerf import numerics
 from gmerf.errors import BracketError, RootConvergenceError
 from gmerf.fixed_point import GMEParams, SolverConfig
 from gmerf.numerics import (
@@ -278,13 +279,13 @@ class TestBracketRoot:
 class TestFindRoot:
     def test_sqrt_two(self):
         br = RootBracket.from_function(lambda x: x * x - 2.0, 1.0, 2.0)
-        root = find_root(lambda x: x * x - 2.0, br, tol=ROOT_TOL)
+        root = find_root(lambda x: x * x - 2.0, br)
         assert abs(root - 1.4142135623730951) < 1e-12
 
     def test_erf_inverse_point(self):
         # self-validated: the root must put the function value at 0
         f = lambda x: float(erf(x)) - 0.5
-        root = find_root(f, RootBracket.from_function(f, 0.0, 1.0), tol=ROOT_TOL)
+        root = find_root(f, RootBracket.from_function(f, 0.0, 1.0))
         assert abs(f(root)) < 1e-14
         assert abs(root - 0.4769362762044699) < 1e-12
 
@@ -299,25 +300,29 @@ class TestFindRoot:
             return x * x - 2.0
 
         br = RootBracket(1.0, 2.0, -1.0, 2.0)
-        root = find_root(f, br, tol=ROOT_TOL)
+        root = find_root(f, br)
         assert len(calls) == 6
         assert br.lo not in calls and br.hi not in calls
         assert abs(root - math.sqrt(2.0)) < ROOT_TOL
 
+    @pytest.mark.parametrize("bracket", [RootBracket(0.5, 1.0, 0.0, 2.0), RootBracket(0.0, 0.5, -1.0, 0.0)], ids=["lo", "hi"])
+    def test_returns_an_endpoint_whose_value_is_zero(self, bracket):
+        def f(x):
+            raise AssertionError("the root is an endpoint; f must not be called")
+
+        assert find_root(f, bracket) == 0.5
+
     def test_nan_function_value_raises(self):
         br = RootBracket(0.0, 1.0, -1.0, 1.0)
         with pytest.raises(ValueError, match="nan"):
-            find_root(lambda x: math.nan, br, tol=ROOT_TOL)
+            find_root(lambda x: math.nan, br)
 
-    def test_rejects_negative_iteration_budget(self):
-        with pytest.raises(ValueError, match="max_iter"):
-            find_root(lambda x: x - 0.5, RootBracket(0.0, 1.0, -0.5, 0.5), max_iter=-1)
-
-    def test_exhausted_iterations_reports_best(self):
+    def test_exhausted_iterations_reports_best(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_BRENT_MAX_ITER", 2)
         f = lambda x: x**3 - 2.0
         br = RootBracket.from_function(f, 0.0, 2.0)
-        with pytest.raises(RootConvergenceError) as excinfo:
-            find_root(f, br, tol=1e-15, max_iter=2)
+        with pytest.raises(RootConvergenceError, match="after 2 iterations") as excinfo:
+            find_root(f, br)
         assert math.isfinite(excinfo.value.best)
         assert 0.0 <= excinfo.value.best <= 2.0
 

@@ -264,12 +264,6 @@ class TestPrescribedValueLimit:
         assert not sol.contraction_certified
         assert sol.phi.values[0] == 0.0
 
-    def test_strict_mode_refuses(self):
-        lam = 10.0
-        beta = 2.0 * dirichlet_contraction_threshold(lam)
-        with pytest.raises(ContractionError):
-            solve_dirichlet(beta, lam, allow_unproven=False)
-
     def test_gap_decreases_and_scales_inversely_with_gamma(self):
         gaps = dirichlet_gap(0.0, 10.0, [0.1, 1.0, 10.0, 100.0, 1e4])
         vals = [g for _, g in gaps]
