@@ -70,8 +70,10 @@ def zero_order(eta, gamma: float, lam: float):
 def _order0(erf_eta, erf_lam, gamma):
     # phi_0 from erf(eta) and erf(lam); gamma a scalar or a column. The
     # 2/gamma form covers the prescribed-value limit gamma = inf, and
-    # erf_eta == erf_lam gives exactly 1.
-    two_over_gamma = 2.0 / gamma
+    # erf_eta == erf_lam gives exactly 1. Below gamma = 1e-17 phi_0 rounds to
+    # exactly 1, the gamma -> 0 limit; flooring gamma at 1e-300 keeps it
+    # there for a subnormal gamma, whose 2/gamma would overflow.
+    two_over_gamma = 2.0 / np.maximum(gamma, 1e-300)
     return (two_over_gamma + SQRT_PI * erf_eta) / (two_over_gamma + SQRT_PI * erf_lam)
 
 

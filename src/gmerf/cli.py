@@ -30,7 +30,7 @@ from .fixed_point import (
     DEFAULT_CONFIG,
     GMEParams,
     SolverConfig,
-    _all_solved,
+    _raise_first,
     _solve_rows,
     contraction_threshold,
     solve_gme,
@@ -126,8 +126,9 @@ def _cmd_hscan(args: argparse.Namespace) -> int:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
     config = _config_from(args)
     lams = np.linspace(args.lmin, args.lmax, args.steps)
-    sols = _all_solved(_solve_rows([(args.beta, args.gamma, float(lam)) for lam in lams], config))
-    _emit(_csv(["lambda", "H"], zip(lams, map(_slope_ratio, sols))), args.out)
+    rows = _solve_rows([(args.beta, args.gamma, float(lam)) for lam in lams], config)
+    _raise_first(rows.errors)
+    _emit(_csv(["lambda", "H"], zip(lams.tolist(), _slope_ratio(rows.phi_prime_lambda, lams).tolist())), args.out)
     return EXIT_OK
 
 
@@ -233,16 +234,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
 
     points = list(itertools.product(betas, gammas, lams))
-    results = _solve_rows(points, config)
-    rows = [
-        [*point, "", "", "", "", _sanitize(str(sol))]
-        if isinstance(sol, Exception)
-        else [*point, sol.d_coeff, sol.phi_prime_lambda, sol.iterations, sol.residual, "ok"]
-        for point, sol in zip(points, results)
+    rows = _solve_rows(points, config)
+    numbers = zip(rows.d_coeff, rows.phi_prime_lambda, rows.iterations, rows.residual)
+    table = [
+        [*point, *values, "ok"] if exc is None else [*point, "", "", "", "", _sanitize(str(exc))]
+        for point, values, exc in zip(points, numbers, rows.errors)
     ]
     header = ["beta", "gamma", "lambda", "d_coeff", "phi_prime_lambda", "iterations", "residual", "status"]
-    _emit(_csv(header, rows), args.out)
-    return _exit_code(r for r in results if isinstance(r, Exception))
+    _emit(_csv(header, table), args.out)
+    return _exit_code(exc for exc in rows.errors if exc is not None)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -35,6 +35,7 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,12 +203,22 @@ def contraction_factor(x, gamma: float):
 def contraction_threshold(gamma: float) -> float:
     """Unique positive root of g(x) = 1: Picard is certified below it.
 
-    Strictly decreasing in gamma (roughly 2/(3 sqrt(pi) gamma) for large gamma).
-    Found to `find_root`'s absolute 1e-12 in x and cached per gamma, since
-    every profile solve at finite gamma asks.
+    Strictly decreasing in gamma. With c = sqrt(pi)/2 the root lies between
+    half and all of min(1/(3 c gamma), (c gamma)^(-2/5)), the roots of the
+    small- and large-x forms of g. Searched in units of 1/1024 of that
+    scale, where the root is 512 to 1024 units, `find_root`'s 4 eps relative
+    step outweighs its absolute 1e-12: the root is found to a relative 1e-13
+    or better for every normal gamma. Cached per gamma, since every profile
+    solve at finite gamma asks.
     """
-    bracket = bracket_root(lambda x: contraction_factor(x, gamma) - 1.0, 0.0, 1.0)
-    return find_root(lambda x: contraction_factor(x, gamma) - 1.0, bracket)
+    _require("gamma", gamma)
+    c = 0.5 * SQRT_PI
+    unit = min(1.0 / (3.0 * c) / gamma, (c * gamma) ** -0.4) / 1024.0
+
+    def gap(s: float) -> float:
+        return contraction_factor(s * unit, gamma) - 1.0
+
+    return unit * find_root(gap, bracket_root(gap, 0.0, 1024.0))
 
 
 def dirichlet_contraction_threshold(lam: float) -> float:
@@ -247,6 +258,18 @@ def lipschitz_bound(b: float, gamma: float) -> float:
     return 1.0 / (threshold * (1.0 - contraction_factor(b, gamma)))
 
 
+def _faults(v: np.ndarray, d: np.ndarray, gamma) -> np.ndarray:
+    """Which of k solved profiles break a post-condition: a (k,) mask.
+
+    v holds one profile per row (k, n), d their normalizing coefficients
+    (k,), gamma a scalar or (k,). A profile must be non-decreasing, start at
+    or above 0 and end at exactly 1, which together keep it in the unit
+    band, and 0 < d <= gamma. A row holding nan fails the first test.
+    """
+    monotone = np.logical_and.reduce(v[:, 1:] >= v[:, :-1], axis=-1)
+    return ~(monotone & (v[:, 0] >= 0.0) & (v[:, -1] == 1.0) & (d > 0.0) & (d <= gamma * (1.0 + 1e-12)))
+
+
 @dataclass(frozen=True, eq=False)
 class GMESolution:
     """Converged profile together with its solve diagnostics.
@@ -282,14 +305,16 @@ class GMESolution:
 
     def __post_init__(self):
         v = self.phi.values
+        if not _faults(v[None], np.array([self.d_coeff]), self.params.gamma)[0]:
+            return
+        # Name the first breach.
         if v.min() < 0.0 or v.max() > 1.0:
             raise ValueError("solution profile leaves the unit band")
         if (v[1:] < v[:-1]).any():
             raise ValueError("solution profile is not non-decreasing")
         if v[-1] != 1.0:
             raise ValueError("solution endpoint is not pinned at 1")
-        if not (0.0 < self.d_coeff <= self.params.gamma * (1.0 + 1e-12)):
-            raise ValueError(f"normalizing coefficient {self.d_coeff:g} outside (0, gamma]")
+        raise ValueError(f"normalizing coefficient {self.d_coeff:g} outside (0, gamma]")
 
 
 def _seed(nodes: np.ndarray, gamma) -> np.ndarray:
@@ -303,19 +328,19 @@ def _seed_profile(params: GMEParams, n: int) -> GridFunction:
     return GridFunction(params.lam, _seed(_uniform_nodes(params.lam, n), params.gamma))
 
 
-def _certified(params: GMEParams, allow_unproven: bool) -> bool:
-    # Whether the contraction inequality holds at beta; raises ContractionError
-    # when not and the override is off. The cached threshold is only 1e-12
-    # accurate, so the inequality itself settles a refusal.
-    if params.dirichlet:
-        threshold = dirichlet_contraction_threshold(params.lam)
-        certified = params.beta < threshold or _dirichlet_factor(params.beta) < float(erf(params.lam))
+def _certified(beta: float, gamma: float, lam: float, allow_unproven: bool) -> bool:
+    # Whether the contraction inequality holds at beta for a valid point;
+    # raises ContractionError when not and the override is off. The cached
+    # threshold is a rounded root, so the inequality itself settles a refusal.
+    if math.isinf(gamma):
+        threshold = dirichlet_contraction_threshold(lam)
+        certified = beta < threshold or _dirichlet_factor(beta) < float(erf(lam))
     else:
-        threshold = contraction_threshold(params.gamma)
-        certified = params.beta < threshold or contraction_factor(params.beta, params.gamma) < 1.0
+        threshold = contraction_threshold(gamma)
+        certified = beta < threshold or contraction_factor(beta, gamma) < 1.0
     if not certified and not allow_unproven:
         raise ContractionError(
-            f"beta={params.beta:g} is at or above the certified contraction "
+            f"beta={beta:g} is at or above the certified contraction "
             f"threshold {threshold:.6g} for this problem; pass "
             f"allow_unproven=True to attempt the solve anyway"
         )
@@ -342,61 +367,125 @@ def solve_gme(
     ContractionError
         Slope at or above the certified range without the override.
     FixedPointError
-        Iteration cap reached before the update fell below ``config.fp_tol``.
+        Iteration cap reached before the update fell below ``config.fp_tol``,
+        or an update that is nan (the operator overflows at these parameters).
     """
-    return _all_solved(_solve_rows([params], config, allow_unproven=allow_unproven))[0]
+    point = (params.beta, params.gamma, params.lam)
+    rows = _solve_rows([point], config, allow_unproven=allow_unproven, keep_profiles=True)
+    _raise_first(rows.errors)
+    return _solution(params, rows, 0)
 
 
-def _all_solved(results: list[GMESolution | Exception]) -> list[GMESolution]:
-    """The results of `_solve_rows`, or the first failure in input order raised."""
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return results
+class _Rows(NamedTuple):
+    """What `_solve_rows` found for k points, one entry per point in input order.
+
+    The numbers of a point in ``errors`` are unspecified.
+    """
+
+    d_coeff: np.ndarray  # (k,)
+    phi_prime_lambda: np.ndarray  # (k,)
+    iterations: np.ndarray  # (k,) int
+    residual: np.ndarray  # (k,)
+    certified: np.ndarray  # (k,) bool
+    errors: list  # the exception solve_gme raises for the point, else None
+    profiles: list | None  # each point's converged profile (a view into its chunk), if kept
+
+
+def _raise_first(errors: list) -> None:
+    """Raise the first failure of a `_solve_rows` batch, in input order."""
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _solution(params: GMEParams, rows: _Rows, i: int) -> GMESolution:
+    """Row i of a batch solved with its profiles kept, as the GMESolution of params.
+
+    The row's post-conditions were tested with its chunk, so they are not
+    run again here.
+    """
+    sol = object.__new__(GMESolution)
+    sol.__dict__.update(
+        params=params,
+        phi=GridFunction(params.lam, rows.profiles[i]),
+        d_coeff=rows.d_coeff[i],
+        phi_prime_lambda=rows.phi_prime_lambda[i],
+        iterations=int(rows.iterations[i]),
+        residual=float(rows.residual[i]),
+        contraction_certified=bool(rows.certified[i]),
+    )
+    return sol
 
 
 def _solve_rows(
-    points: Sequence[GMEParams | tuple[float, float, float]],
+    points: Sequence[tuple[float, float, float]],
     config: SolverConfig,
     *,
     allow_unproven: bool = False,
-) -> list[GMESolution | Exception]:
-    """Solve many profile problems on one grid size; one result per point, in order.
+    keep_profiles: bool = False,
+) -> _Rows:
+    """Solve many profile problems on one grid size, as arrays with one entry per point.
 
-    Each point is a GMEParams or a (beta, gamma, lam) triple. Its result is
-    the GMESolution `solve_gme` returns for it, or the exception `solve_gme`
-    raises (a triple that fails validation gives its ValueError). Points are
-    iterated together in chunks of at most `_CHUNK_ELEMENTS` node values, and
-    each row leaves its chunk as soon as its own update reaches fp_tol, so
-    every result is bit-identical to a lone solve.
+    Each point is a (beta, gamma, lam) triple. Entry i holds, bit for bit,
+    what ``solve_gme(GMEParams(*points[i]), config, allow_unproven=...)``
+    returns, or in ``errors[i]`` the exception it raises. Points are
+    validated and certified with plain float tests; only a failing point
+    goes through GMEParams, `_certified` or GMESolution, for its message.
+    Points are iterated together in chunks of at most `_CHUNK_ELEMENTS`
+    node values, each row leaving its chunk as soon as its own update
+    reaches fp_tol, and the post-conditions run once per chunk. The
+    profiles are kept (``profiles``) only with keep_profiles.
     """
-    results: list[GMESolution | Exception] = [None] * len(points)
-    todo = []
-    for i, point in enumerate(points):
+    k = len(points)
+    rows = _Rows(
+        d_coeff=np.empty(k),
+        phi_prime_lambda=np.empty(k),
+        iterations=np.zeros(k, dtype=int),
+        residual=np.empty(k),
+        certified=np.ones(k, dtype=bool),
+        errors=[None] * k,
+        profiles=[None] * k if keep_profiles else None,
+    )
+    thresholds: dict[float, float] = {}
+    todo, solvable = [], []
+    for i, (beta, gamma, lam) in enumerate(points):
         try:
-            params = point if isinstance(point, GMEParams) else GMEParams(*point)
-            todo.append((i, params, _certified(params, allow_unproven)))
+            if not (0.0 <= beta < math.inf and gamma > 0.0 and 0.0 < lam < math.inf):
+                GMEParams(beta, gamma, lam)  # raises the point's ValueError
+            threshold = thresholds.get(gamma)
+            if threshold is None:
+                # A prescribed-value threshold depends on lam: such points all ask `_certified`.
+                threshold = thresholds[gamma] = contraction_threshold(gamma) if gamma < math.inf else 0.0
+            if not beta < threshold:
+                rows.certified[i] = _certified(beta, gamma, lam, allow_unproven)
         except (GmerfError, ValueError) as exc:
-            results[i] = exc
-    rows = max(1, _CHUNK_ELEMENTS // config.grid_n)
-    for start in range(0, len(todo), rows):
-        _solve_chunk(todo[start : start + rows], config, results)
-    return results
+            rows.errors[i] = exc
+        else:
+            # 1/gamma overflows for a subnormal gamma; nan in its place makes
+            # the first update nan, which fails the row with no float warning.
+            inv_gamma = 1.0 / gamma
+            todo.append(i)
+            solvable.append((beta, gamma, lam, math.nan if inv_gamma == math.inf else inv_gamma))
+    if todo:
+        idx = np.array(todo)
+        params = np.array(solvable, dtype=float)
+        step = max(1, _CHUNK_ELEMENTS // config.grid_n)
+        for start in range(0, len(todo), step):
+            _solve_chunk(idx[start : start + step], params[start : start + step], config, rows)
+    return rows
 
 
-def _solve_chunk(chunk: list[tuple[int, GMEParams, bool]], config: SolverConfig, results: list) -> None:
-    # Picard on the rows of one chunk, writing each row's result into results.
-    n, k = config.grid_n, len(chunk)
-    params = [p for _, p, _ in chunk]
-    lam = np.array([[p.lam] for p in params])
-    beta = np.array([[p.beta] for p in params])
-    gamma = np.array([[p.gamma] for p in params])
+def _solve_chunk(idx: np.ndarray, params: np.ndarray, config: SolverConfig, rows: _Rows) -> None:
+    # Picard on one chunk: params holds a (beta, gamma, lam, 1/gamma) row per
+    # point, whose results go to entry idx[j] of rows.
+    n, k = config.grid_n, len(params)
+    beta, gamma, lam, inv_gamma = params[:, 0:1], params[:, 1:2], params[:, 2:3], params[:, 3:4]
     nodes = _uniform_nodes(lam, n)
-    args = live_args = (nodes, lam / (n - 1), beta, 1.0 / gamma)
+    args = live_args = (nodes, lam / (n - 1), beta, inv_gamma)
 
     # T maps the unit band into itself, so the loop runs on bare arrays with
-    # no per-step checks; GMESolution verifies each final profile. A retired
-    # row keeps its values, iteration count and last update.
+    # no per-step checks; `_faults` tests the final profiles. A retired row
+    # keeps its values, iteration count and last update.
     v = _seed(nodes, gamma)
     live = np.arange(k)
     final = np.empty_like(v)
@@ -406,38 +495,54 @@ def _solve_chunk(chunk: list[tuple[int, GMEParams, bool]], config: SolverConfig,
         nv = _apply(v, *live_args)[0]
         res = np.abs(np.subtract(v, nv, out=v), out=v).max(-1)  # v is spent: reuse it
         v = nv
-        done = res <= config.fp_tol
-        if done.any():
-            rows = live[done]
-            final[rows], iterations[rows], residual[rows] = v[done], it, res[done]
-            if done.all():
+        keep = res > config.fp_tol  # a nan update retires too: no later step mends it
+        if not keep.all():
+            done = ~keep
+            retired = live[done]
+            final[retired], iterations[retired], residual[retired] = v[done], it, res[done]
+            if not keep.any():
                 break
-            keep = ~done
             live, v, res = live[keep], v[keep], res[keep]
             live_args = tuple(a[keep] for a in live_args)
     else:
         final[live], residual[live] = v, res
 
     _, d, weight = _apply(final, *args)
-    for row, (i, p, certified) in enumerate(chunk):
-        if not iterations[row]:
-            last = float(residual[row])
-            results[i] = FixedPointError(
+    d = d[:, 0]
+    slope = d * weight[:, -1]
+    rows.d_coeff[idx], rows.phi_prime_lambda[idx] = d, slope
+    rows.iterations[idx], rows.residual[idx] = iterations, residual
+    if rows.profiles is not None:
+        for i, profile in zip(idx.tolist(), final):
+            rows.profiles[i] = profile
+
+    # A nan update leaves nan in its profile, which `_faults` flags. Only a
+    # failed row is wrapped, by GMESolution, for the message of its breach.
+    for j in np.flatnonzero(_faults(final, d, gamma[:, 0]) | (iterations == 0)):
+        last = float(residual[j])
+        if not iterations[j]:
+            rows.errors[idx[j]] = FixedPointError(
                 f"Picard iteration did not reach tol={config.fp_tol:g} in "
                 f"{_FP_MAX_ITER} iterations (last update {last:g})",
                 residual=last,
                 iterations=_FP_MAX_ITER,
             )
-            continue
-        try:
-            results[i] = GMESolution(
-                params=p,
-                phi=GridFunction(p.lam, final[row]),
-                d_coeff=d[row, 0],
-                phi_prime_lambda=d[row, 0] * float(weight[row, -1]),
-                iterations=int(iterations[row]),
-                residual=float(residual[row]),
-                contraction_certified=certified,
+        elif math.isnan(last):
+            rows.errors[idx[j]] = FixedPointError(
+                f"Picard update is nan at iteration {iterations[j]}: the operator "
+                f"overflows at these parameters",
+                residual=last,
+                iterations=int(iterations[j]),
             )
-        except ValueError as exc:
-            results[i] = exc
+        else:
+            try:
+                GMESolution(
+                    params=GMEParams(*params[j, :3].tolist()),
+                    phi=GridFunction(float(lam[j, 0]), final[j]),
+                    d_coeff=d[j],
+                    phi_prime_lambda=slope[j],
+                    iterations=int(iterations[j]),
+                    residual=last,
+                )
+            except ValueError as exc:
+                rows.errors[idx[j]] = exc

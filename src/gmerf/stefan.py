@@ -38,7 +38,8 @@ from .fixed_point import (
     GMEParams,
     GMESolution,
     SolverConfig,
-    _all_solved,
+    _raise_first,
+    _solution,
     _solve_rows,
     solve_gme,
 )
@@ -142,12 +143,13 @@ def boundary_slope_ratio(
     at the given parameters, so repeated scans over lam are cached. The
     `GMEParams` of that profile rejects out-of-range arguments (ValueError).
     """
-    return _slope_ratio(_solved(beta, gamma, lam, config))
+    sol = _solved(beta, gamma, lam, config)
+    return _slope_ratio(sol.phi_prime_lambda, sol.params.lam)
 
 
-def _slope_ratio(sol: GMESolution) -> float:
-    # The front-balance side phi'(lam) / lam of one solved profile.
-    return sol.phi_prime_lambda / sol.params.lam
+def _slope_ratio(phi_prime_lambda, lam):
+    # The front-balance side phi'(lam) / lam, for scalars or arrays.
+    return phi_prime_lambda / lam
 
 
 def solve_lambda(
@@ -304,7 +306,10 @@ def _dirichlet_comparison(
     if not gammas:
         raise ValueError("gammas must be a non-empty list")
     dag = solve_dirichlet(beta, lam, config)
-    robins = _all_solved(_solve_rows([(beta, float(gamma), lam) for gamma in gammas], config))
+    points = [(beta, float(gamma), lam) for gamma in gammas]
+    rows = _solve_rows(points, config, keep_profiles=True)
+    _raise_first(rows.errors)
+    robins = [_solution(GMEParams(*point), rows, i) for i, point in enumerate(points)]
     gaps = [float(np.max(np.abs(robin.phi.values - dag.phi.values))) for robin in robins]
     return dag, robins, gaps
 

@@ -1,6 +1,7 @@
 """Tests for the small-slope expansion: closed forms, residuals, error gauges."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,14 @@ class TestZeroOrder:
         y = zero_order(x, 1e6, lam)
         ref = np.array([math.erf(t) for t in x]) / math.erf(lam)
         assert np.max(np.abs(y - ref)) < 1e-5
+
+    @pytest.mark.parametrize("gamma", [1e-320, 5e-324, 1e-17])
+    def test_tiny_gamma_gives_the_flat_limit(self, gamma):
+        # phi_0 -> 1 as gamma -> 0; a subnormal gamma used to overflow 2/gamma into nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert zero_order(0.5, gamma, 1.0) == 1.0
+            assert zero_order(np.linspace(0.0, 1.0, 5), gamma, 1.0).tolist() == [1.0] * 5
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: formats, exit codes, round-trips."""
 
+import itertools
 import json
 import math
 import os
@@ -13,8 +14,9 @@ import pytest
 import gmerf
 from gmerf import cli, fixed_point, stefan
 from gmerf.cli import main
-from gmerf.errors import GmerfError
-from gmerf.fixed_point import GMEParams, SolverConfig, solve_gme
+from gmerf.errors import BracketError, GmerfError
+from gmerf.fixed_point import GMEParams, GMESolution, SolverConfig, solve_gme
+from gmerf.numerics import GridFunction
 from gmerf.stefan import boundary_slope_ratio, dirichlet_gap, solve_dirichlet
 
 GME_COLUMNS = "eta,phi,phi0,phi1_approx,err0_pointwise,err1_pointwise"
@@ -131,9 +133,16 @@ class TestBeta1:
         assert rows[0][1] == "" and rows[0][2] != "ok"
         assert rows[1][2] == "ok"
 
-    def test_failed_threshold_gets_row_entry_and_solver_exit(self, capsys):
-        # No bracket for the threshold at gamma = 1e-300: its row carries the
-        # solver's message and the other rows are still written.
+    def test_failed_threshold_gets_row_entry_and_solver_exit(self, capsys, monkeypatch):
+        # Every positive finite gamma has a threshold now, so a failed search
+        # at gamma = 1e-300 is simulated: its row carries the solver's message
+        # and the other rows are still written.
+        def threshold(gamma):
+            if gamma == 1e-300:
+                raise BracketError("no sign change found growing the bracket up to hi=1")
+            return gmerf.contraction_threshold(gamma)
+
+        monkeypatch.setattr(cli, "contraction_threshold", threshold)
         code, out, _ = run(capsys, ["beta1", "--gamma", "1", "1e-300", "5"])
         assert code == 2
         _, rows = parse_csv(out)
@@ -582,6 +591,80 @@ class TestSweep:
         path = tmp_path / "spec.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["sweep", "--spec", str(path)]) == 1
+
+
+class TestBatchAtScale:
+    """At the benchmark's sizes, a batch gives the tables lone solves give and builds no per-row objects."""
+
+    CONFIG = SolverConfig(grid_n=201)
+
+    @staticmethod
+    def sweep_spec(tmp_path, seed):
+        # Shaped like the cli_sweep workload: 2 betas x 4 gammas x 25 lambdas,
+        # each beta below the threshold of the largest gamma.
+        rng = np.random.default_rng(seed)
+        gammas = sorted(np.exp(rng.uniform(math.log(0.1), math.log(10.0), 4)).tolist())
+        betas = sorted((rng.uniform(0.0, 0.9, 2) * gmerf.contraction_threshold(gammas[-1])).tolist())
+        lam = math.exp(rng.uniform(math.log(0.1), math.log(2.0)))
+        spec = {"beta": betas, "gamma": gammas, "lambda": np.geomspace(lam, 2.0 * lam, 25).tolist()}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        return path, spec
+
+    HSCAN = ["hscan", "--beta", "0.07", "--gamma", "1.7", "--lmin", "0.05", "--lmax", "5", "--steps", "100", "--grid-n", "201"]
+
+    def test_sweep_matches_lone_solves_byte_for_byte(self, capsys, tmp_path):
+        path, spec = self.sweep_spec(tmp_path, 5)
+        rows = [["beta", "gamma", "lambda", "d_coeff", "phi_prime_lambda", "iterations", "residual", "status"]]
+        for point in itertools.product(spec["beta"], spec["gamma"], spec["lambda"]):
+            sol = solve_gme(GMEParams(*point), self.CONFIG)
+            numbers = (*point, sol.d_coeff, sol.phi_prime_lambda, sol.iterations, sol.residual)
+            rows.append([fmt(x) for x in numbers] + ["ok"])
+        assert len(rows) == 201
+        assert run(capsys, ["sweep", "--spec", str(path), "--grid-n", "201"]) == (0, csv_text(rows), "")
+
+    def test_hscan_matches_lone_solves_byte_for_byte(self, capsys):
+        rows = [["lambda", "H"]]
+        for lam in np.linspace(0.05, 5.0, 100).tolist():
+            rows.append([fmt(lam), fmt(solve_gme(GMEParams(0.07, 1.7, lam), self.CONFIG).phi_prime_lambda / lam)])
+        assert run(capsys, self.HSCAN) == (0, csv_text(rows), "")
+
+    def test_valid_points_build_no_per_row_objects(self, capsys, tmp_path, monkeypatch):
+        built = []
+        for cls in (GMEParams, GridFunction, GMESolution):
+            def counting(self, original=cls.__post_init__):
+                built.append(type(self).__name__)
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(fixed_point, "_solution", lambda *args: built.append("GMESolution"))
+        path, _ = self.sweep_spec(tmp_path, 6)
+        assert run(capsys, ["sweep", "--spec", str(path), "--grid-n", "201"])[0] == 0
+        assert run(capsys, self.HSCAN)[0] == 0
+        assert built == []
+
+
+def test_sweep_and_hscan_leave_numpy_ma_unloaded(tmp_path):
+    # Nothing on the batch path needs numpy.ma, which costs about 1.2 MiB and
+    # 14 ms when first loaded (np.unique loads it). numpy before 2.0 loads it
+    # on import, so the test asks only that the commands load nothing more.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"beta": [0.0, 0.05], "gamma": [1.0, 3.0], "lambda": [0.5, 1.0]}), encoding="utf-8")
+    code = (
+        "import contextlib, io, sys, gmerf.cli as cli\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['sweep', '--spec', {str(spec)!r}, '--grid-n', '51']) == 0\n"
+        "    assert cli.main(['hscan', '--beta', '0.05', '--gamma', '2', '--lmin', '0.1', '--lmax', '2', '--steps', '20']) == 0\n"
+        "print(before, 'numpy.ma' in sys.modules, int(sys.modules['numpy'].__version__.split('.')[0]))"
+    )
+    src = str(Path(gmerf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    before, after, major = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert after == before
+    assert major == "1" or after == "False"
 
 
 def test_fresh_import_needs_only_numpy():

@@ -1,6 +1,9 @@
 """Tests for the integral operator, contraction machinery, and Picard solver."""
 
 import math
+import struct
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -285,6 +288,31 @@ class TestContraction:
                     hi = mid
             assert contraction_threshold(gamma) == pytest.approx(0.5 * (lo + hi), abs=1e-10)
 
+    def test_threshold_has_relative_accuracy_over_all_magnitudes(self):
+        # Reference: bisection down to adjacent floats (on the bit patterns of
+        # positive floats), with g evaluated in 50-digit decimal arithmetic.
+        half_sqrt_pi = Decimal("3.14159265358979323846264338327950288419716939937510").sqrt() / 2
+
+        def at_least_one(x, gamma):
+            with localcontext() as ctx:
+                ctx.prec = 50
+                xd = Decimal(x)
+                return half_sqrt_pi * Decimal(gamma) * xd * (1 + xd).sqrt() * (3 + xd) >= 1
+
+        def bits(x):
+            return struct.unpack("<q", struct.pack("<d", x))[0]
+
+        def from_bits(b):
+            return struct.unpack("<d", struct.pack("<q", b))[0]
+
+        for gamma in [*np.geomspace(1e-300, 1e300, 41).tolist(), 0.1, 0.5, 1.0, 20.0, 100.0, 1e13]:
+            lo, hi = bits(0.0), bits(1.7976931348623157e308)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if at_least_one(from_bits(mid), gamma) else (mid, hi)
+            root = from_bits(hi)
+            assert abs(contraction_threshold(gamma) - root) <= 1e-13 * root, gamma
+
     def test_threshold_decreases_with_gamma(self):
         ts = [contraction_threshold(g) for g in (0.1, 1.0, 10.0, 100.0)]
         assert all(a > b for a, b in zip(ts, ts[1:]))
@@ -311,6 +339,10 @@ class TestContraction:
         assert lipschitz_bound(b, gamma) == pytest.approx(expected, rel=1e-12)
         with pytest.raises(ContractionError):
             lipschitz_bound(b1, gamma)
+
+    def test_lipschitz_bound_at_huge_gamma(self):
+        # The threshold at gamma = 1e13 is about 3.76e-14, not 0.
+        assert lipschitz_bound(0.0, 1e13) == 1.0 / contraction_threshold(1e13)
 
     def test_map_contracts_random_profile_pairs(self):
         rng = np.random.default_rng(11)
@@ -389,10 +421,26 @@ class TestSolveGme:
         ids=["threshold-rounds-to-zero", "prescribed-value-tiny-lam"],
     )
     def test_slope_meeting_the_inequality_is_certified(self, params):
-        # The threshold is found to 1e-12 absolute and comes out at or below
-        # beta = 0 here, though the contraction inequality holds at beta = 0.
+        # Tiny thresholds: about 3.8e-14 at gamma = 1e13, and an absolute
+        # 1e-12 root search for the prescribed-value one at lam = 1e-300,
+        # which comes out at or below beta = 0 though the contraction
+        # inequality holds there.
         sol = solve_gme(params, SolverConfig(grid_n=31))
         assert sol.contraction_certified
+
+    def test_tiny_gamma_is_certified(self):
+        # The threshold at gamma = 1e-300 is about 1e120; its search used to
+        # stop growing the bracket at 1.15e18.
+        sol = solve_gme(GMEParams(0.1, 1e-300, 1.0), SolverConfig(grid_n=31))
+        assert sol.contraction_certified and sol.iterations == 1
+
+    def test_subnormal_gamma_fails_at_the_first_update(self):
+        # 1/gamma overflows, so the first update is nan: the solve stops there.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FixedPointError, match="nan") as excinfo:
+                solve_gme(GMEParams(0.1, 1e-320, 1.0))
+        assert excinfo.value.iterations == 1 and math.isnan(excinfo.value.residual)
 
     def test_slope_failing_the_inequality_is_refused_at_huge_gamma(self):
         assert contraction_factor(1e-10, 1e13) > 1.0
@@ -461,10 +509,13 @@ class TestSolveRows:
         monkeypatch.setattr(fixed_point, "_FP_MAX_ITER", max_iter)
         if chunk_rows is not None:
             monkeypatch.setattr(fixed_point, "_CHUNK_ELEMENTS", chunk_rows * config.grid_n)
-        results = _solve_rows(self.POINTS, config, allow_unproven=allow_unproven)
-        assert len(results) == len(self.POINTS)
+        rows = _solve_rows(self.POINTS, config, allow_unproven=allow_unproven, keep_profiles=True)
+        bare = _solve_rows(self.POINTS, config, allow_unproven=allow_unproven)
+        assert len(rows.errors) == len(self.POINTS) and bare.profiles is None
         kinds = set()
-        for point, got in zip(self.POINTS, results):
+        for i, point in enumerate(self.POINTS):
+            got = rows.errors[i]
+            assert type(bare.errors[i]) is type(got) and str(bare.errors[i]) == str(got)
             try:
                 want = solve_gme(GMEParams(*point), config, allow_unproven=allow_unproven)
             except (GmerfError, ValueError) as exc:
@@ -475,10 +526,11 @@ class TestSolveRows:
                     assert (got.iterations, got.residual) == (exc.iterations, exc.residual)
                     assert (got.iterations, got.residual) == lone_picard(GMEParams(*point), config)[3:]
                 continue
-            assert isinstance(got, GMESolution)
-            assert got.params == want.params
-            assert got.contraction_certified == want.contraction_certified
-            fields = (got.phi.values.tobytes(), got.d_coeff, got.phi_prime_lambda, got.iterations, got.residual)
+            assert got is None
+            assert rows.certified[i] == want.contraction_certified == bare.certified[i]
+            numbers = (rows.d_coeff[i], rows.phi_prime_lambda[i], rows.iterations[i], rows.residual[i])
+            fields = (rows.profiles[i].tobytes(), *numbers)
+            assert numbers == (bare.d_coeff[i], bare.phi_prime_lambda[i], bare.iterations[i], bare.residual[i])
             assert fields == (want.phi.values.tobytes(), want.d_coeff, want.phi_prime_lambda, want.iterations, want.residual)
             values, d, slope, iterations, residual = lone_picard(GMEParams(*point), config)
             assert fields == (values.tobytes(), d, slope, iterations, residual)
@@ -489,12 +541,13 @@ class TestSolveRows:
     def test_one_row_per_chunk_on_grids_beyond_the_budget(self, monkeypatch):
         config = SolverConfig(grid_n=101)
         monkeypatch.setattr(fixed_point, "_CHUNK_ELEMENTS", 50)
-        results = _solve_rows(self.POINTS[:4], config)
-        for point, got in zip(self.POINTS[:4], results):
-            assert got.phi.values.tobytes() == solve_gme(GMEParams(*point), config).phi.values.tobytes()
+        rows = _solve_rows(self.POINTS[:4], config, keep_profiles=True)
+        for point, got in zip(self.POINTS[:4], rows.profiles):
+            assert got.tobytes() == solve_gme(GMEParams(*point), config).phi.values.tobytes()
 
     def test_empty_batch(self):
-        assert _solve_rows([], DEFAULT_CONFIG) == []
+        rows = _solve_rows([], DEFAULT_CONFIG)
+        assert rows.errors == [] and rows.d_coeff.shape == rows.iterations.shape == (0,)
 
     def test_nodes_match_lone_solves_next_to_an_underflowing_step(self):
         # At lam = 1e-322 the step lam / 200 underflows to 0; its row alone takes
@@ -502,17 +555,55 @@ class TestSolveRows:
         # and iterate to the same bits as their lone solves.
         config = SolverConfig(grid_n=201)
         points = [(0.1, 1.0, 0.7), (0.1, 1.0, 1e-322), (0.1, 1.0, 1.3)]
-        results = _solve_rows(points, config)
-        for point, got in zip(points, results):
+        rows = _solve_rows(points, config, keep_profiles=True)
+        for i, point in enumerate(points):
             want = solve_gme(GMEParams(*point), config)
-            assert got.phi.nodes.tobytes() == want.phi.nodes.tobytes()
-            assert got.phi.nodes.tobytes() == np.linspace(0.0, point[2], config.grid_n).tobytes()
-        for j in (0, 2):
-            got, want = results[j], solve_gme(GMEParams(*points[j]), config)
-            fields = (got.phi.values.tobytes(), got.d_coeff, got.phi_prime_lambda, got.iterations, got.residual)
+            fields = (rows.profiles[i].tobytes(), rows.d_coeff[i], rows.phi_prime_lambda[i], rows.iterations[i], rows.residual[i])
             assert fields == (want.phi.values.tobytes(), want.d_coeff, want.phi_prime_lambda, want.iterations, want.residual)
-            values, d, slope, iterations, residual = lone_picard(GMEParams(*points[j]), config)
-            assert fields == (values.tobytes(), d, slope, iterations, residual)
+            if i != 1:
+                values, d, slope, iterations, residual = lone_picard(GMEParams(*point), config)
+                assert fields == (values.tobytes(), d, slope, iterations, residual)
+
+    def test_every_failure_kind_in_one_batch(self, monkeypatch):
+        # Each row gets the exception type and text of its lone solve, with no
+        # floating-point warning: nan, inf and negative inputs, refused slopes
+        # at finite and infinite gamma, a row capped at 6 iterations, the
+        # under-resolved (0.01, 2, 5) at 4 nodes and a subnormal gamma,
+        # among rows that solve.
+        config = SolverConfig(grid_n=4)
+        monkeypatch.setattr(fixed_point, "_FP_MAX_ITER", 6)
+        points = [
+            (math.nan, 1.0, 1.0),
+            (0.1, 1.0, math.inf),
+            (0.1, -1.0, 1.0),
+            (-0.1, 1.0, 1.0),
+            (0.1, 1.0, 1.0),
+            (0.5, 10.0, 1.0),
+            (1.0, math.inf, 1.0),
+            (0.29, 1.0, 5.0),
+            (0.01, 2.0, 5.0),
+            (0.0, math.inf, 1.0),
+            (0.1, 1e-320, 1.0),
+            (0.2, 0.5, 3.0),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _solve_rows(points, config)
+            for point, got in zip(points, rows.errors):
+                try:
+                    solve_gme(GMEParams(*point), config)
+                except (GmerfError, ValueError) as exc:
+                    assert (type(got), str(got)) == (type(exc), str(exc))
+                else:
+                    assert got is None
+        failures = [exc for exc in rows.errors if exc is not None]
+        assert len(failures) == 9
+        assert {type(exc) for exc in failures} == {ValueError, ContractionError, FixedPointError}
+        assert "solution profile is not non-decreasing" in map(str, failures)
+        assert [(exc.iterations, math.isnan(exc.residual)) for exc in failures if isinstance(exc, FixedPointError)] == [
+            (6, False),
+            (1, True),
+        ]
 
     @pytest.mark.parametrize("n", [2, 3, 201, 1001])
     def test_chunk_nodes_are_linspace_per_row(self, n):
