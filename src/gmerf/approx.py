@@ -82,18 +82,23 @@ class ApproxCoefficients:
     """Constants of the first-order closed form for one (gamma, lam).
 
     c0 and c1 are the boundary constants the evaluator uses (c0 = phi_1(0),
-    c1 = phi_1'(0)).
+    c1 = phi_1'(0)). nu - 2 = gamma sqrt(pi) erf(lam) is the checked field:
+    nu = 2 + (nu - 2) rounds to exactly 2 once nu - 2 is 2.2e-16 or less.
     """
 
     gamma: float
     lam: float
-    nu: float
+    nu_minus_2: float
     c0: float
     c1: float
 
     def __post_init__(self):
-        if not self.nu > 2.0:
-            raise ValueError(f"nu must exceed 2, got {self.nu}")
+        if not self.nu_minus_2 > 0.0:
+            raise ValueError(f"nu - 2 must be positive, got {self.nu_minus_2}")
+
+    @property
+    def nu(self) -> float:
+        return 2.0 + self.nu_minus_2
 
 
 def _first_order_bracket(pts: np.ndarray, gamma: float, e: np.ndarray) -> np.ndarray:
@@ -114,12 +119,13 @@ def approx_coeffs(gamma: float, lam: float) -> ApproxCoefficients:
     _require("gamma", gamma)
     _require("lam", lam)
     e = float(erf(lam))
-    nu = 2.0 + gamma * SQRT_PI * e
+    nu_minus_2 = gamma * SQRT_PI * e
+    nu = 2.0 + nu_minus_2
 
     j_end = (gamma / nu**2) * float(_first_order_bracket(np.asarray(lam), gamma, e))
     c0 = (2.0 / nu) * (2.0 * gamma * SQRT_PI * e / nu**2 - j_end)
     c1 = gamma * c0 - 4.0 * gamma / nu**2
-    return ApproxCoefficients(gamma=gamma, lam=lam, nu=nu, c0=c0, c1=c1)
+    return ApproxCoefficients(gamma=gamma, lam=lam, nu_minus_2=nu_minus_2, c0=c0, c1=c1)
 
 
 def first_order(eta, coeffs: ApproxCoefficients):

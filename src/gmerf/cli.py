@@ -216,7 +216,7 @@ def _cmd_dirichlet(args: argparse.Namespace) -> int:
         outdir = Path(args.curve_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         for name, robin in zip(names, robins):
-            curve = zip(dag.phi.nodes, robin.phi.values, dag.phi.values)
+            curve = zip(dag.phi.nodes, robin, dag.phi.values)
             _emit(_csv(["eta", "phi_gamma", "phi_dag"], curve), outdir / name)
     return EXIT_OK
 

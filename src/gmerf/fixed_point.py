@@ -31,6 +31,7 @@ different parameters are safe.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from collections.abc import Sequence
@@ -199,26 +200,35 @@ def contraction_factor(x, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _scaled_root(gap, scale: float) -> float:
+    """The x = t scale where an increasing gap(t) crosses 0, known to be at t in [1/2, 1].
+
+    Searched in units of scale/1024, where the root is 512 to 1024 units, so
+    `find_root`'s 4 eps relative step outweighs its absolute 1e-12: the root
+    is found to a relative 1e-13 or better, and never above scale when
+    gap(1) >= 0.
+    """
+
+    def scaled(s: float) -> float:
+        return gap(s / 1024.0)
+
+    return scale * (find_root(scaled, bracket_root(scaled, 0.0, 1024.0)) / 1024.0)
+
+
 @functools.lru_cache(maxsize=256)
 def contraction_threshold(gamma: float) -> float:
     """Unique positive root of g(x) = 1: Picard is certified below it.
 
     Strictly decreasing in gamma. With c = sqrt(pi)/2 the root lies between
     half and all of min(1/(3 c gamma), (c gamma)^(-2/5)), the roots of the
-    small- and large-x forms of g. Searched in units of 1/1024 of that
-    scale, where the root is 512 to 1024 units, `find_root`'s 4 eps relative
-    step outweighs its absolute 1e-12: the root is found to a relative 1e-13
-    or better for every normal gamma. Cached per gamma, since every profile
-    solve at finite gamma asks.
+    small- and large-x forms of g, so `_scaled_root` finds it to a relative
+    1e-13 or better for every normal gamma. Cached per gamma, since every
+    profile solve at finite gamma asks.
     """
     _require("gamma", gamma)
     c = 0.5 * SQRT_PI
-    unit = min(1.0 / (3.0 * c) / gamma, (c * gamma) ** -0.4) / 1024.0
-
-    def gap(s: float) -> float:
-        return contraction_factor(s * unit, gamma) - 1.0
-
-    return unit * find_root(gap, bracket_root(gap, 0.0, 1024.0))
+    scale = min(1.0 / (3.0 * c) / gamma, (c * gamma) ** -0.4)
+    return _scaled_root(lambda t: contraction_factor(scale * t, gamma) - 1.0, scale)
 
 
 def dirichlet_contraction_threshold(lam: float) -> float:
@@ -226,21 +236,21 @@ def dirichlet_contraction_threshold(lam: float) -> float:
 
     Mirrors the flux-condition bound with the endpoint normalizer estimated
     through int_0^lam E >= (sqrt(pi)/2) erf(lam) / (1 + beta): the map
-    contracts when beta (1+beta)^{3/2} (3+beta) < erf(lam); the root of the
-    equality is returned, to `find_root`'s absolute 1e-12 in beta.
+    contracts when beta (1+beta)^{3/2} (3+beta) < erf(lam), and the root of
+    the equality is returned. The left side is at least 3 beta, so the root
+    lies between half and all of erf(lam)/3 and `_scaled_root` finds it to a
+    relative 1e-13 or better for every normal lam. The gap, the left side
+    over erf(lam) minus 1 with beta/erf(lam) = t/3 taken out, stays of order
+    1 where erf(lam)/3 is subnormal or 0: the result there is in [0, erf(lam)/3].
     """
     _require("lam", lam)
-    target = float(erf(lam))
-
-    def gap(x: float) -> float:
-        return _dirichlet_factor(x) - target
-
-    return find_root(gap, bracket_root(gap, 0.0, 1.0))
+    scale = float(erf(lam)) / 3.0
+    return _scaled_root(lambda t: t * _dirichlet_factor(scale * t) / 3.0 - 1.0, scale)
 
 
 def _dirichlet_factor(x: float) -> float:
-    # The prescribed-value contraction condition is _dirichlet_factor(beta) < erf(lam).
-    return x * (1.0 + x) ** 1.5 * (3.0 + x)
+    # The prescribed-value map contracts when beta _dirichlet_factor(beta) < erf(lam).
+    return (1.0 + x) ** 1.5 * (3.0 + x)
 
 
 def lipschitz_bound(b: float, gamma: float) -> float:
@@ -258,16 +268,34 @@ def lipschitz_bound(b: float, gamma: float) -> float:
     return 1.0 / (threshold * (1.0 - contraction_factor(b, gamma)))
 
 
-def _faults(v: np.ndarray, d: np.ndarray, gamma) -> np.ndarray:
-    """Which of k solved profiles break a post-condition: a (k,) mask.
+# The post-conditions of a solved profile, as the messages that name their
+# breach; a profile that breaks several is named by the first.
+_POST_CONDITIONS = (
+    "solution profile leaves the unit band",
+    "solution profile is not non-decreasing",
+    "solution endpoint is not pinned at 1",
+    "normalizing coefficient {d:g} outside (0, gamma]",
+)
+
+
+def _faults(v: np.ndarray, d: np.ndarray, gamma) -> dict[int, str]:
+    """{row: message of the first post-condition it breaks} over k solved profiles.
 
     v holds one profile per row (k, n), d their normalizing coefficients
-    (k,), gamma a scalar or (k,). A profile must be non-decreasing, start at
-    or above 0 and end at exactly 1, which together keep it in the unit
-    band, and 0 < d <= gamma. A row holding nan fails the first test.
+    (k,), gamma a scalar or (k,). A profile must start at or above 0, be
+    non-decreasing and end at exactly 1, which keeps it in the unit band, and
+    0 < d <= gamma. A row holding nan is not non-decreasing.
     """
-    monotone = np.logical_and.reduce(v[:, 1:] >= v[:, :-1], axis=-1)
-    return ~(monotone & (v[:, 0] >= 0.0) & (v[:, -1] == 1.0) & (d > 0.0) & (d <= gamma * (1.0 + 1e-12)))
+    breaches = (
+        v[:, 0] < 0.0,
+        ~np.logical_and.reduce(v[:, 1:] >= v[:, :-1], axis=-1),
+        v[:, -1] != 1.0,
+        ~((d > 0.0) & (d <= gamma * (1.0 + 1e-12))),
+    )
+    return {
+        j: next(message for message, breach in zip(_POST_CONDITIONS, breaches) if breach[j]).format(d=d[j])
+        for j in np.flatnonzero(functools.reduce(np.logical_or, breaches)).tolist()
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,17 +332,9 @@ class GMESolution:
     contraction_certified: bool = True
 
     def __post_init__(self):
-        v = self.phi.values
-        if not _faults(v[None], np.array([self.d_coeff]), self.params.gamma)[0]:
-            return
-        # Name the first breach.
-        if v.min() < 0.0 or v.max() > 1.0:
-            raise ValueError("solution profile leaves the unit band")
-        if (v[1:] < v[:-1]).any():
-            raise ValueError("solution profile is not non-decreasing")
-        if v[-1] != 1.0:
-            raise ValueError("solution endpoint is not pinned at 1")
-        raise ValueError(f"normalizing coefficient {self.d_coeff:g} outside (0, gamma]")
+        faults = _faults(self.phi.values[None], np.array([self.d_coeff]), self.params.gamma)
+        if faults:
+            raise ValueError(faults[0])
 
 
 def _seed(nodes: np.ndarray, gamma) -> np.ndarray:
@@ -324,17 +344,13 @@ def _seed(nodes: np.ndarray, gamma) -> np.ndarray:
     return _order0(e, e[..., -1:], gamma)
 
 
-def _seed_profile(params: GMEParams, n: int) -> GridFunction:
-    return GridFunction(params.lam, _seed(_uniform_nodes(params.lam, n), params.gamma))
-
-
 def _certified(beta: float, gamma: float, lam: float, allow_unproven: bool) -> bool:
     # Whether the contraction inequality holds at beta for a valid point;
     # raises ContractionError when not and the override is off. The cached
     # threshold is a rounded root, so the inequality itself settles a refusal.
     if math.isinf(gamma):
         threshold = dirichlet_contraction_threshold(lam)
-        certified = beta < threshold or _dirichlet_factor(beta) < float(erf(lam))
+        certified = beta < threshold or beta * _dirichlet_factor(beta) < float(erf(lam))
     else:
         threshold = contraction_threshold(gamma)
         certified = beta < threshold or contraction_factor(beta, gamma) < 1.0
@@ -399,11 +415,8 @@ def _raise_first(errors: list) -> None:
 
 
 def _solution(params: GMEParams, rows: _Rows, i: int) -> GMESolution:
-    """Row i of a batch solved with its profiles kept, as the GMESolution of params.
-
-    The row's post-conditions were tested with its chunk, so they are not
-    run again here.
-    """
+    """Row i of a batch solved with its profiles kept, as the GMESolution of params,
+    without re-running the post-conditions its chunk tested."""
     sol = object.__new__(GMESolution)
     sol.__dict__.update(
         params=params,
@@ -428,13 +441,12 @@ def _solve_rows(
 
     Each point is a (beta, gamma, lam) triple. Entry i holds, bit for bit,
     what ``solve_gme(GMEParams(*points[i]), config, allow_unproven=...)``
-    returns, or in ``errors[i]`` the exception it raises. Points are
-    validated and certified with plain float tests; only a failing point
-    goes through GMEParams, `_certified` or GMESolution, for its message.
-    Points are iterated together in chunks of at most `_CHUNK_ELEMENTS`
-    node values, each row leaving its chunk as soon as its own update
-    reaches fp_tol, and the post-conditions run once per chunk. The
-    profiles are kept (``profiles``) only with keep_profiles.
+    returns, or in ``errors[i]`` the exception it raises. Only an invalid
+    point goes through GMEParams, for its message. Points are iterated
+    together in chunks of at most `_CHUNK_ELEMENTS` node values, each row
+    leaving its chunk as soon as its own update reaches fp_tol, and the
+    post-conditions run once per chunk. The profiles are kept
+    (``profiles``) only with keep_profiles.
     """
     k = len(points)
     rows = _Rows(
@@ -446,42 +458,37 @@ def _solve_rows(
         errors=[None] * k,
         profiles=[None] * k if keep_profiles else None,
     )
-    thresholds: dict[float, float] = {}
-    todo, solvable = [], []
+    todo, quiet = [], False
     for i, (beta, gamma, lam) in enumerate(points):
         try:
             if not (0.0 <= beta < math.inf and gamma > 0.0 and 0.0 < lam < math.inf):
                 GMEParams(beta, gamma, lam)  # raises the point's ValueError
-            threshold = thresholds.get(gamma)
-            if threshold is None:
-                # A prescribed-value threshold depends on lam: such points all ask `_certified`.
-                threshold = thresholds[gamma] = contraction_threshold(gamma) if gamma < math.inf else 0.0
-            if not beta < threshold:
-                rows.certified[i] = _certified(beta, gamma, lam, allow_unproven)
+            rows.certified[i] = _certified(beta, gamma, lam, allow_unproven)
         except (GmerfError, ValueError) as exc:
             rows.errors[i] = exc
         else:
-            # 1/gamma overflows for a subnormal gamma; nan in its place makes
-            # the first update nan, which fails the row with no float warning.
-            inv_gamma = 1.0 / gamma
             todo.append(i)
-            solvable.append((beta, gamma, lam, math.nan if inv_gamma == math.inf else inv_gamma))
+            # 1/gamma or the normalizer 1/(1/gamma + int_0^lam E), int E >= min(lam, 1)/(e (1 + beta)),
+            # may overflow: the row's first update is then nan, which fails it. Such a batch runs with
+            # float warnings off; others keep numpy's default error state, which ufuncs read fastest.
+            quiet = quiet or not 1e-290 < 1.0 / gamma + min(lam, 1.0) / (1.0 + beta) < math.inf
     if todo:
         idx = np.array(todo)
-        params = np.array(solvable, dtype=float)
+        params = np.array([points[i] for i in todo], dtype=float)
         step = max(1, _CHUNK_ELEMENTS // config.grid_n)
-        for start in range(0, len(todo), step):
-            _solve_chunk(idx[start : start + step], params[start : start + step], config, rows)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
+            for start in range(0, len(todo), step):
+                _solve_chunk(idx[start : start + step], params[start : start + step], config, rows)
     return rows
 
 
 def _solve_chunk(idx: np.ndarray, params: np.ndarray, config: SolverConfig, rows: _Rows) -> None:
-    # Picard on one chunk: params holds a (beta, gamma, lam, 1/gamma) row per
-    # point, whose results go to entry idx[j] of rows.
+    # Picard on one chunk: params holds a (beta, gamma, lam) row per point,
+    # whose results go to entry idx[j] of rows.
     n, k = config.grid_n, len(params)
-    beta, gamma, lam, inv_gamma = params[:, 0:1], params[:, 1:2], params[:, 2:3], params[:, 3:4]
+    beta, gamma, lam = params[:, 0:1], params[:, 1:2], params[:, 2:3]
     nodes = _uniform_nodes(lam, n)
-    args = live_args = (nodes, lam / (n - 1), beta, inv_gamma)
+    args = live_args = (nodes, lam / (n - 1), beta, 1.0 / gamma)
 
     # T maps the unit band into itself, so the loop runs on bare arrays with
     # no per-step checks; `_faults` tests the final profiles. A retired row
@@ -509,16 +516,15 @@ def _solve_chunk(idx: np.ndarray, params: np.ndarray, config: SolverConfig, rows
 
     _, d, weight = _apply(final, *args)
     d = d[:, 0]
-    slope = d * weight[:, -1]
-    rows.d_coeff[idx], rows.phi_prime_lambda[idx] = d, slope
+    rows.d_coeff[idx], rows.phi_prime_lambda[idx] = d, d * weight[:, -1]
     rows.iterations[idx], rows.residual[idx] = iterations, residual
     if rows.profiles is not None:
         for i, profile in zip(idx.tolist(), final):
             rows.profiles[i] = profile
 
-    # A nan update leaves nan in its profile, which `_faults` flags. Only a
-    # failed row is wrapped, by GMESolution, for the message of its breach.
-    for j in np.flatnonzero(_faults(final, d, gamma[:, 0]) | (iterations == 0)):
+    # A nan update leaves nan in its profile, which `_faults` flags.
+    faults = _faults(final, d, gamma[:, 0])
+    for j in faults.keys() | set(np.flatnonzero(iterations == 0).tolist()):
         last = float(residual[j])
         if not iterations[j]:
             rows.errors[idx[j]] = FixedPointError(
@@ -535,14 +541,4 @@ def _solve_chunk(idx: np.ndarray, params: np.ndarray, config: SolverConfig, rows
                 iterations=int(iterations[j]),
             )
         else:
-            try:
-                GMESolution(
-                    params=GMEParams(*params[j, :3].tolist()),
-                    phi=GridFunction(float(lam[j, 0]), final[j]),
-                    d_coeff=d[j],
-                    phi_prime_lambda=slope[j],
-                    iterations=int(iterations[j]),
-                    residual=last,
-                )
-            except ValueError as exc:
-                rows.errors[idx[j]] = exc
+            rows.errors[idx[j]] = ValueError(faults[j])

@@ -39,7 +39,6 @@ from .fixed_point import (
     GMESolution,
     SolverConfig,
     _raise_first,
-    _solution,
     _solve_rows,
     solve_gme,
 )
@@ -300,18 +299,16 @@ def dirichlet_gap(
 
 def _dirichlet_comparison(
     beta: float, lam: float, gammas: list[float], config: SolverConfig
-) -> tuple[GMESolution, list[GMESolution], list[float]]:
-    # The prescribed-value profile, the flux-condition profiles (solved as one
+) -> tuple[GMESolution, list[np.ndarray], list[float]]:
+    # The prescribed-value profile, the flux-condition profiles as node values (one
     # batch; the first failure in gamma order is raised) and their sup gaps.
     if not gammas:
         raise ValueError("gammas must be a non-empty list")
     dag = solve_dirichlet(beta, lam, config)
-    points = [(beta, float(gamma), lam) for gamma in gammas]
-    rows = _solve_rows(points, config, keep_profiles=True)
+    rows = _solve_rows([(beta, float(gamma), lam) for gamma in gammas], config, keep_profiles=True)
     _raise_first(rows.errors)
-    robins = [_solution(GMEParams(*point), rows, i) for i, point in enumerate(points)]
-    gaps = [float(np.max(np.abs(robin.phi.values - dag.phi.values))) for robin in robins]
-    return dag, robins, gaps
+    gaps = [float(np.max(np.abs(robin - dag.phi.values))) for robin in rows.profiles]
+    return dag, rows.profiles, gaps
 
 
 def phi_prime_bounds(beta: float, gamma: float, lam: float) -> tuple[float, float]:

@@ -78,6 +78,15 @@ class TestApproxCoefficients:
             co = approx_coeffs(gamma, lam)
             assert co.c1 == pytest.approx(gamma * co.c0 - 4.0 * gamma / co.nu**2, rel=1e-12)
 
+    def test_tiny_gamma_keeps_nu_minus_2(self):
+        # nu rounds to exactly 2 at gamma = 1e-17; nu - 2 is carried on its own.
+        gamma = 1e-17
+        co = approx_coeffs(gamma, 1.0)
+        assert co.nu == 2.0
+        assert co.nu_minus_2 == pytest.approx(gamma * SQRT_PI * math.erf(1.0), rel=1e-14)
+        assert co.c1 == pytest.approx(gamma * co.c0 - gamma, rel=1e-12)
+        assert float(first_order(1.0, co)) == pytest.approx(0.0, abs=1e-30)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             approx_coeffs(0.0, 1.0)

@@ -67,8 +67,8 @@ def _dirichlet_gap(beta=0.05, lam=1.0, gamma=1.0):
     return dirichlet_gap(beta, lam, [gamma], CFG)
 
 
-def _approx_coefficients(nu):
-    return dataclasses.replace(approx_coeffs(1.0, 1.0), nu=nu)
+def _approx_coefficients(nu_minus_2):
+    return dataclasses.replace(approx_coeffs(1.0, 1.0), nu_minus_2=nu_minus_2)
 
 
 def _front_position(t):
@@ -155,7 +155,8 @@ TABLE = [
         {"eta": IN_UNIT_INTERVAL},
     ),
     (_approx_error, dict(order=1), {"order": (NAN, INF, -INF, -0.5, 2)}),
-    (_approx_coefficients, dict(nu=3.0), {"nu": (NAN, -INF, 0.0, -0.5, 2.0)}),
+    # nu = nan, -inf, 0, -0.5 and 2 as nu - 2, the checked quantity: nu itself is 2.0 at gamma = 1e-17.
+    (_approx_coefficients, dict(nu_minus_2=1.0), {"nu_minus_2": (NAN, -INF, -2.0, -2.5, 0.0)}),
 ]
 
 REJECTED = [
@@ -191,6 +192,7 @@ ACCEPTED_EDGES = [
     pytest.param(lambda: _front_position(0.0), id="front_position-t=0"),
     pytest.param(lambda: _temperature(x=0.0), id="temperature-x=0"),
     pytest.param(lambda: zero_order(0.0, 1.0, 1.0), id="zero_order-eta=0"),
+    pytest.param(lambda: approx_coeffs(1e-17, 1.0), id="approx_coeffs-gamma=1e-17"),
     pytest.param(lambda: _approx_error(0), id="approx_error-order=0"),
 ]
 

@@ -191,6 +191,14 @@ class TestGme:
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["gme", "--beta", "0.2", "--gamma", "1"]) == 1
 
+    def test_tiny_gamma_is_solved(self, capsys):
+        # nu = 2 + gamma sqrt(pi) erf(lam) rounds to exactly 2 here.
+        code, out, err = run(capsys, ["gme", "--beta", "0", "--gamma", "1e-17", "--lambda", "1", "--grid-n", "11"])
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert len(rows) == 11
+        assert max(float(r[4]) for r in rows) < 1e-15
+
     def test_writes_file_and_round_trips(self, capsys, tmp_path):
         path = tmp_path / "curve.csv"
         code, _, _ = run(capsys, ["gme", "--beta", "0.1", "--gamma", "1", "--lambda", "1", "--grid-n", "21", "--out", str(path)])
@@ -637,11 +645,22 @@ class TestBatchAtScale:
                 original(self)
 
             monkeypatch.setattr(cls, "__post_init__", counting)
-        monkeypatch.setattr(fixed_point, "_solution", lambda *args: built.append("GMESolution"))
+        # `_solution` builds a GMESolution without its __post_init__: counted
+        # here, and still called, since the dirichlet run's prescribed-value
+        # solve needs the result.
+        def solution(*args, original=fixed_point._solution):
+            built.append("GMESolution")
+            return original(*args)
+
+        monkeypatch.setattr(fixed_point, "_solution", solution)
         path, _ = self.sweep_spec(tmp_path, 6)
         assert run(capsys, ["sweep", "--spec", str(path), "--grid-n", "201"])[0] == 0
         assert run(capsys, self.HSCAN)[0] == 0
         assert built == []
+        # Only the prescribed-value profile is an object; the 4 flux-condition rows are not.
+        dirichlet = ["dirichlet", "--beta", "0.002", "--lambda", "1.2", "--gamma", "0.1", "1", "10", "100"]
+        assert run(capsys, [*dirichlet, "--curve-dir", str(tmp_path / "curves"), "--grid-n", "201"])[0] == 0
+        assert built == ["GMEParams", "GMESolution", "GridFunction"]
 
 
 def test_sweep_and_hscan_leave_numpy_ma_unloaded(tmp_path):

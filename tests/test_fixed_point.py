@@ -18,7 +18,7 @@ from gmerf.fixed_point import (
     GMESolution,
     SolverConfig,
     _apply,
-    _seed_profile,
+    _seed,
     _solve_rows,
     contraction_factor,
     contraction_threshold,
@@ -288,30 +288,48 @@ class TestContraction:
                     hi = mid
             assert contraction_threshold(gamma) == pytest.approx(0.5 * (lo + hi), abs=1e-10)
 
-    def test_threshold_has_relative_accuracy_over_all_magnitudes(self):
-        # Reference: bisection down to adjacent floats (on the bit patterns of
-        # positive floats), with g evaluated in 50-digit decimal arithmetic.
-        half_sqrt_pi = Decimal("3.14159265358979323846264338327950288419716939937510").sqrt() / 2
-
-        def at_least_one(x, gamma):
-            with localcontext() as ctx:
-                ctx.prec = 50
-                xd = Decimal(x)
-                return half_sqrt_pi * Decimal(gamma) * xd * (1 + xd).sqrt() * (3 + xd) >= 1
-
+    @staticmethod
+    def last_ulp_root(at_least):
+        # The least positive float x with at_least(x), by bisection on the bit
+        # patterns of positive floats; at_least(x) evaluates its side of the
+        # equation in 50-digit decimal arithmetic.
         def bits(x):
             return struct.unpack("<q", struct.pack("<d", x))[0]
 
         def from_bits(b):
             return struct.unpack("<d", struct.pack("<q", b))[0]
 
+        lo, hi = bits(0.0), bits(1.7976931348623157e308)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            with localcontext() as ctx:
+                ctx.prec = 50
+                lo, hi = (lo, mid) if at_least(Decimal(from_bits(mid))) else (mid, hi)
+        return from_bits(hi)
+
+    def test_threshold_has_relative_accuracy_over_all_magnitudes(self):
+        # g(x) = (sqrt(pi)/2) gamma x sqrt(1+x) (3+x) = 1.
+        half_sqrt_pi = Decimal("3.14159265358979323846264338327950288419716939937510").sqrt() / 2
         for gamma in [*np.geomspace(1e-300, 1e300, 41).tolist(), 0.1, 0.5, 1.0, 20.0, 100.0, 1e13]:
-            lo, hi = bits(0.0), bits(1.7976931348623157e308)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if at_least_one(from_bits(mid), gamma) else (mid, hi)
-            root = from_bits(hi)
+            root = self.last_ulp_root(lambda x: half_sqrt_pi * Decimal(gamma) * x * (1 + x).sqrt() * (3 + x) >= 1)
             assert abs(contraction_threshold(gamma) - root) <= 1e-13 * root, gamma
+
+    def test_prescribed_value_threshold_has_relative_accuracy_over_all_magnitudes(self):
+        # beta (1+beta)^{3/2} (3+beta) = erf(lam), the same reference as the
+        # flux-condition threshold's.
+        for lam in [*np.geomspace(1e-300, 50.0, 41).tolist(), 1e-13, 1e-12, 0.5, 2.0, 10.0, 2.2250738585072014e-308]:
+            target = Decimal(math.erf(lam))
+            root = self.last_ulp_root(lambda x: x * (1 + x) * (1 + x).sqrt() * (3 + x) >= target)
+            assert abs(dirichlet_contraction_threshold(lam) - root) <= 1e-13 * root, lam
+
+    def test_prescribed_value_threshold_at_subnormal_lam(self):
+        # erf(lam)/3 is subnormal or rounds to 0: the threshold is still found,
+        # with no warning, and stays in [0, erf(lam)/3].
+        lams = [*np.geomspace(5e-324, 2.2e-308, 60).tolist(), 5e-324, 1e-323, 1e-320, 1e-310]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in lams:
+                assert 0.0 <= dirichlet_contraction_threshold(lam) <= float(erf(lam)) / 3.0, lam
 
     def test_threshold_decreases_with_gamma(self):
         ts = [contraction_threshold(g) for g in (0.1, 1.0, 10.0, 100.0)]
@@ -388,7 +406,7 @@ class TestSolveGme:
         beta = 0.9 * contraction_threshold(gamma)
         params = GMEParams(beta, gamma, 5.0)
         g = contraction_factor(beta, gamma)
-        h = _seed_profile(params, 1001)
+        h = seed_profile(params, 1001)
         prev = None
         for _ in range(40):
             nh = fixed_point_map(h, params)
@@ -421,10 +439,8 @@ class TestSolveGme:
         ids=["threshold-rounds-to-zero", "prescribed-value-tiny-lam"],
     )
     def test_slope_meeting_the_inequality_is_certified(self, params):
-        # Tiny thresholds: about 3.8e-14 at gamma = 1e13, and an absolute
-        # 1e-12 root search for the prescribed-value one at lam = 1e-300,
-        # which comes out at or below beta = 0 though the contraction
-        # inequality holds there.
+        # Tiny thresholds: about 3.8e-14 at gamma = 1e13 and 3.8e-301 for
+        # the prescribed-value variant at lam = 1e-300.
         sol = solve_gme(params, SolverConfig(grid_n=31))
         assert sol.contraction_certified
 
@@ -440,6 +456,16 @@ class TestSolveGme:
             warnings.simplefilter("error")
             with pytest.raises(FixedPointError, match="nan") as excinfo:
                 solve_gme(GMEParams(0.1, 1e-320, 1.0))
+        assert excinfo.value.iterations == 1 and math.isnan(excinfo.value.residual)
+
+    @pytest.mark.parametrize("lam", [5e-309, 1e-310, 5e-324])
+    def test_prescribed_value_at_subnormal_lam_fails_at_the_first_update(self, lam):
+        # The normalizer 1/(0 + int E) overflows, so the first update is nan,
+        # as for a subnormal gamma.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FixedPointError, match="nan") as excinfo:
+                solve_gme(GMEParams(0.0, math.inf, lam))
         assert excinfo.value.iterations == 1 and math.isnan(excinfo.value.residual)
 
     def test_slope_failing_the_inequality_is_refused_at_huge_gamma(self):
@@ -469,13 +495,18 @@ class TestSolveGme:
         assert v[-1] == 1.0
 
 
+def seed_profile(params, n):
+    # The Picard seed of a solve on n nodes.
+    return GridFunction(params.lam, _seed(_uniform_nodes(params.lam, n), params.gamma))
+
+
 def lone_picard(params, config):
     """Reference: Picard on the public one-profile operator, one point at a time.
 
     Returns (values, d_coeff, phi_prime_lambda, iterations, residual); the
     first three are None when the iteration cap is reached.
     """
-    h = _seed_profile(params, config.grid_n)
+    h = seed_profile(params, config.grid_n)
     for iterations in range(1, fixed_point._FP_MAX_ITER + 1):
         nh = fixed_point_map(h, params)
         residual = float(np.max(np.abs(nh.values - h.values)))
