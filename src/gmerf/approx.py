@@ -67,14 +67,21 @@ def zero_order(eta, gamma: float, lam: float):
     return float(out) if pts.ndim == 0 else out
 
 
-def _order0(erf_eta, erf_lam, gamma):
+def _order0(erf_eta, erf_lam, gamma, out=None):
     # phi_0 from erf(eta) and erf(lam); gamma a scalar or a column. The
     # 2/gamma form covers the prescribed-value limit gamma = inf, and
     # erf_eta == erf_lam gives exactly 1. Below gamma = 1e-17 phi_0 rounds to
     # exactly 1, the gamma -> 0 limit; flooring gamma at 1e-300 keeps it
-    # there for a subnormal gamma, whose 2/gamma would overflow.
+    # there for a subnormal gamma, whose 2/gamma would overflow. out, of
+    # erf_eta's shape, may be erf_eta itself and erf_lam a view into it: the
+    # denominator is formed before out is written. The in-place steps keep
+    # the order of (2/gamma + sqrt(pi) erf_eta) / (2/gamma + sqrt(pi) erf_lam).
     two_over_gamma = 2.0 / np.maximum(gamma, 1e-300)
-    return (two_over_gamma + SQRT_PI * erf_eta) / (two_over_gamma + SQRT_PI * erf_lam)
+    denominator = two_over_gamma + SQRT_PI * erf_lam
+    out = np.multiply(SQRT_PI, erf_eta, out=out)
+    out += two_over_gamma
+    out /= denominator
+    return out
 
 
 @dataclass(frozen=True)
@@ -83,7 +90,8 @@ class ApproxCoefficients:
 
     c0 and c1 are the boundary constants the evaluator uses (c0 = phi_1(0),
     c1 = phi_1'(0)). nu - 2 = gamma sqrt(pi) erf(lam) is the checked field:
-    nu = 2 + (nu - 2) rounds to exactly 2 once nu - 2 is 2.2e-16 or less.
+    nu = 2 + (nu - 2) rounds to exactly 2 once nu - 2 is 2.2e-16 or less,
+    and nu**2 must be finite (see `_require_nu_squared`).
     """
 
     gamma: float
@@ -95,10 +103,21 @@ class ApproxCoefficients:
     def __post_init__(self):
         if not self.nu_minus_2 > 0.0:
             raise ValueError(f"nu - 2 must be positive, got {self.nu_minus_2}")
+        _require_nu_squared(self.gamma, self.lam, self.nu)
 
     @property
     def nu(self) -> float:
         return 2.0 + self.nu_minus_2
+
+
+def _require_nu_squared(gamma: float, lam: float, nu: float) -> None:
+    # The first-order forms divide by nu**2, which overflows (a Python float
+    # power raises) from nu of about 1.34e154: gamma of about 9e153 at lam = 1.
+    if not nu * nu < math.inf:
+        raise ValueError(
+            f"gamma={gamma:g} is too large for the first-order closed form at lam={lam:g}: "
+            f"nu**2 overflows (nu = {nu:g})"
+        )
 
 
 def _first_order_bracket(pts: np.ndarray, gamma: float, e: np.ndarray) -> np.ndarray:
@@ -121,6 +140,7 @@ def approx_coeffs(gamma: float, lam: float) -> ApproxCoefficients:
     e = float(erf(lam))
     nu_minus_2 = gamma * SQRT_PI * e
     nu = 2.0 + nu_minus_2
+    _require_nu_squared(gamma, lam, nu)
 
     j_end = (gamma / nu**2) * float(_first_order_bracket(np.asarray(lam), gamma, e))
     c0 = (2.0 / nu) * (2.0 * gamma * SQRT_PI * e / nu**2 - j_end)

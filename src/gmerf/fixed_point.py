@@ -26,7 +26,8 @@ gamma -> +inf limit: with the normalizer computed as 1/(1/gamma + integral)
 the same code covers it, so ``GMEParams(gamma=math.inf)`` selects it.
 
 All values are immutable and the functions are pure; concurrent solves with
-different parameters are safe.
+different parameters are safe. The Picard loop's working buffers belong to
+one call (one chunk of one solve) and no module state holds any array.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .approx import _order0
 from .errors import ContractionError, FixedPointError, GmerfError
-from .numerics import SQRT_PI, GridFunction, _cumint, _require, _uniform_nodes, bracket_root, erf, find_root
+from .numerics import SQRT_PI, GridFunction, _cumint, _cumint_work, _require, _uniform_nodes, bracket_root, erf, find_root
 # Unused here; kept bound because perfbench/tracing.py wraps it at this attribute.
 from .numerics import cumulative_integral  # noqa: F401
 
@@ -141,7 +142,7 @@ def _require_same_interval(h: GridFunction, params: GMEParams) -> None:
         raise ValueError(f"grid endpoint {h.lam} does not match params.lam {params.lam}")
 
 
-def _apply(v: np.ndarray, nodes: np.ndarray, step, beta, inv_gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _apply(v: np.ndarray, nodes: np.ndarray, step, beta, inv_gamma, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The operator on rows of node values: (T v, D_v, E_v).
 
     v and nodes have shape (..., n), one problem per row; step, beta and
@@ -151,14 +152,26 @@ def _apply(v: np.ndarray, nodes: np.ndarray, step, beta, inv_gamma) -> tuple[np.
     (..., 1). The image is clipped at 1 and pinned to 1 at lam. No checks:
     each row must lie in the unit band, which T maps into itself. In-place
     steps keep the arithmetic order of the formulas above.
+
+    out, when given, is (tv, psi, weight, work): three arrays of v's shape
+    and the `_cumint_work(v.shape)` scratch, or the leading rows of larger
+    ones. T v is written to tv and E_v to weight, which are the arrays
+    returned; psi and work are scratch, whose entries on entry are ignored.
+    tv may be v itself, which is read only before tv is written; nothing else
+    among v, nodes and the buffers may overlap. Without out, fresh arrays
+    are used.
     """
-    psi = np.multiply(v, beta)
+    if out is None:
+        out = (*np.empty((3, *v.shape)), _cumint_work(v.shape))
+    tv, psi, weight, work = out
+    np.multiply(v, beta, out=psi)
     psi += 1.0
-    weight = _cumint(np.divide(nodes, psi), step)
+    # tv holds the inner integrand until the outer integral overwrites it.
+    _cumint(np.divide(nodes, psi, out=tv), step, out=weight, work=work)
     weight *= -2.0
     np.exp(weight, out=weight)
     weight /= psi
-    tv = _cumint(weight, step)
+    _cumint(weight, step, out=tv, work=work)
     d = 1.0 / (inv_gamma + tv[..., -1:])
     tv += inv_gamma
     tv *= d
@@ -339,18 +352,23 @@ class GMESolution:
 
 def _seed(nodes: np.ndarray, gamma) -> np.ndarray:
     # The constant-conductivity (beta = 0) profile on rows of nodes, each
-    # ending at its lam; the Picard seed for beta > 0.
+    # ending at its lam; the Picard seed for beta > 0, written over erf's output.
     e = erf(nodes)
-    return _order0(e, e[..., -1:], gamma)
+    return _order0(e, e[..., -1:], gamma, out=e)
 
 
 def _certified(beta: float, gamma: float, lam: float, allow_unproven: bool) -> bool:
     # Whether the contraction inequality holds at beta for a valid point;
     # raises ContractionError when not and the override is off. The cached
     # threshold is a rounded root, so the inequality itself settles a refusal.
+    # The prescribed-value threshold is an uncached root search, made only
+    # when the inequality fails: it also certifies slopes below the rounded
+    # root, and words the refusal.
     if math.isinf(gamma):
+        if beta * _dirichlet_factor(beta) < float(erf(lam)):
+            return True
         threshold = dirichlet_contraction_threshold(lam)
-        certified = beta < threshold or beta * _dirichlet_factor(beta) < float(erf(lam))
+        certified = beta < threshold
     else:
         threshold = contraction_threshold(gamma)
         certified = beta < threshold or contraction_factor(beta, gamma) < 1.0
@@ -492,16 +510,23 @@ def _solve_chunk(idx: np.ndarray, params: np.ndarray, config: SolverConfig, rows
 
     # T maps the unit band into itself, so the loop runs on bare arrays with
     # no per-step checks; `_faults` tests the final profiles. A retired row
-    # keeps its values, iteration count and last update.
-    v = _seed(nodes, gamma)
+    # keeps its values, iteration count and last update. Every step writes
+    # into buffers made once per chunk: two profile buffers (the seed's and
+    # one more) swap roles, and the live rows are the leading rows of each.
+    image, psi, weight = np.empty((3, k, n))
+    profiles = [_seed(nodes, gamma), image]  # current, next
+    work = _cumint_work((k, n))
+    v, nv = profiles
+    scratch = (psi, weight, work)
     live = np.arange(k)
-    final = np.empty_like(v)
+    final = np.empty((k, n))
     iterations = np.zeros(k, dtype=int)
     residual = np.empty(k)
     for it in range(1, _FP_MAX_ITER + 1):
-        nv = _apply(v, *live_args)[0]
+        _apply(v, *live_args, out=(nv, *scratch))
         res = np.abs(np.subtract(v, nv, out=v), out=v).max(-1)  # v is spent: reuse it
-        v = nv
+        v, nv = nv, v
+        profiles.reverse()
         keep = res > config.fp_tol  # a nan update retires too: no later step mends it
         if not keep.all():
             done = ~keep
@@ -509,12 +534,17 @@ def _solve_chunk(idx: np.ndarray, params: np.ndarray, config: SolverConfig, rows
             final[retired], iterations[retired], residual[retired] = v[done], it, res[done]
             if not keep.any():
                 break
-            live, v, res = live[keep], v[keep], res[keep]
+            live, res = live[keep], res[keep]
+            m = len(live)
+            np.compress(keep, v, axis=0, out=nv[:m])  # the live rows lead the spent buffer
+            profiles.reverse()
+            v, nv = (p[:m] for p in profiles)
+            scratch = (psi[:m], weight[:m], tuple(w[:m] for w in work))
             live_args = tuple(a[keep] for a in live_args)
     else:
         final[live], residual[live] = v, res
 
-    _, d, weight = _apply(final, *args)
+    _, d, weight = _apply(final, *args, out=(profiles[1], psi, weight, work))
     d = d[:, 0]
     rows.d_coeff[idx], rows.phi_prime_lambda[idx] = d, d * weight[:, -1]
     rows.iterations[idx], rows.residual[idx] = iterations, residual

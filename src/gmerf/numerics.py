@@ -2,7 +2,8 @@
 cumulative quadrature, and bracketed root finding.
 
 Everything here is a pure function over immutable values, so concurrent use
-from several threads is safe.
+from several threads is safe; the private kernels write only into buffers
+their caller passes or they allocate themselves.
 """
 
 from __future__ import annotations
@@ -185,18 +186,30 @@ def cumulative_integral(f: GridFunction) -> GridFunction:
     return GridFunction(f.lam, _cumint(f.values, f.step))
 
 
-def _cumint(v: np.ndarray, h) -> np.ndarray:
-    # Array form of cumulative_integral along the last axis of v. The step h
-    # is a scalar or a column with one step per row (shape (..., 1)). Panel
-    # sums are built in place, keeping the operation order of the formulas.
+def _cumint(v: np.ndarray, h, out: np.ndarray | None = None, work=None) -> np.ndarray:
+    """Array form of `cumulative_integral` along the last axis of v, returned in out.
+
+    The step h is a scalar or a column with one step per row (shape (..., 1)).
+    Buffers, all optional (a missing one is allocated):
+
+    - out has v's shape; every entry of it is written.
+    - work is the (pairs, panels, fives) triple `_cumint_work(v.shape)` makes,
+      or the leading rows of a larger one; its entries on entry are ignored.
+
+    No buffer may overlap v or another buffer. Panel sums are built in place,
+    keeping the operation order of the formulas.
+    """
     n = v.shape[-1]
-    out = np.zeros(v.shape)
+    if out is None:
+        out = np.empty(v.shape)
+    out[..., 0] = 0.0
     if n == 2:
         out[..., 1:] = 0.5 * h * (v[..., 0:1] + v[..., 1:2])
         return out
 
+    pairs, panel, fives = _cumint_work(v.shape) if work is None else work
     m = 2 * ((n - 1) // 2)  # last even node
-    pairs = np.multiply(v[..., 1:m:2], 4.0)  # contiguous: faster than in the strided output
+    np.multiply(v[..., 1:m:2], 4.0, out=pairs)  # contiguous: faster than in the strided output
     pairs += v[..., 0 : m - 1 : 2]
     pairs += v[..., 2 : m + 1 : 2]
     pairs *= h / 3.0
@@ -209,13 +222,24 @@ def _cumint(v: np.ndarray, h) -> np.ndarray:
     _floor_panels(first, a, b, c)
     if n > 3:
         a, b, c = v[..., 1 : n - 2 : 2], v[..., 2 : n - 1 : 2], v[..., 3:n:2]
-        panel = np.multiply(b, 8.0)  # 8b - a is -a + 8b, bit for bit
+        np.multiply(b, 8.0, out=panel)  # 8b - a is -a + 8b, bit for bit
         panel -= a
-        panel += 5.0 * c
+        panel += np.multiply(c, 5.0, out=fives)
         panel *= h12
         _floor_panels(panel, a, b, c)
         np.add(out[..., 2 : n - 1 : 2], panel, out=out[..., 3:n:2])
     return out
+
+
+def _cumint_work(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch for `_cumint` on arrays of this shape: (pair sums, closing panels, their 5c terms).
+
+    Each is C-contiguous with the leading axes of shape, so the leading rows
+    of a larger set are scratch for fewer rows.
+    """
+    *rows, n = shape
+    odd = (n - 2) // 2  # odd nodes from 3 on
+    return np.empty((*rows, (n - 1) // 2)), np.empty((*rows, odd)), np.empty((*rows, odd))
 
 
 def _floor_panels(panel: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:

@@ -93,6 +93,20 @@ class TestApproxCoefficients:
         with pytest.raises(ValueError):
             approx_coeffs(1.0, -2.0)
 
+    def test_huge_gamma_is_rejected_where_nu_squared_overflows(self):
+        # nu**2 is finite up to gamma of about 9e153 at lam = 1. Beyond it, and at
+        # 1.7e308 where nu itself is inf, a ValueError and no float warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            co = approx_coeffs(1e153, 1.0)
+            assert math.isfinite(co.c0) and math.isfinite(co.c1)
+            assert np.all(np.isfinite(first_order(np.linspace(0.0, 1.0, 11), co)))
+            for gamma in (9e153, 1e307, 1.7e308):
+                with pytest.raises(ValueError, match=r"too large for the first-order closed form at lam=1: nu\*\*2 overflows"):
+                    approx_coeffs(gamma, 1.0)
+            with pytest.raises(ValueError, match=r"nu\*\*2 overflows"):
+                ApproxCoefficients(gamma=1e307, lam=1.0, nu_minus_2=1e307, c0=0.0, c1=0.0)
+
 
 class TestFirstOrder:
     def test_vanishes_at_endpoint(self):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,14 @@ class TestGme:
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["gme", "--beta", "0.2", "--gamma", "1"]) == 1
+
+    def test_huge_gamma_is_a_one_line_usage_error(self, capsys):
+        # The profile solves; the first-order closed form's nu**2 would overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["gme", "--beta", "0", "--gamma", "1e307", "--lambda", "1"])
+        assert (code, out) == (1, "")
+        assert err.startswith("gmerf: error: gamma=1e+307 is too large") and err.count("\n") == 1
 
     def test_tiny_gamma_is_solved(self, capsys):
         # nu = 2 + gamma sqrt(pi) erf(lam) rounds to exactly 2 here.

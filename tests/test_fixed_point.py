@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmerf import fixed_point
+from gmerf.approx import zero_order
 from gmerf.errors import ContractionError, FixedPointError, GmerfError
 from gmerf.fixed_point import (
     DEFAULT_CONFIG,
@@ -28,7 +29,7 @@ from gmerf.fixed_point import (
     normalizing_coefficient,
     solve_gme,
 )
-from gmerf.numerics import GridFunction, _cumint, _uniform_nodes, erf
+from gmerf.numerics import GridFunction, _cumint, _cumint_work, _uniform_nodes, erf
 from oracles import shoot_bvp_dirichlet
 
 SQRT_PI = math.sqrt(math.pi)
@@ -212,6 +213,12 @@ def _kernel_rows(rng, n):
     return np.stack(rows + [first, tail, spiky])
 
 
+def _stale(work):
+    for w in work:
+        w.fill(np.nan)
+    return work
+
+
 class TestKernelBitIdentity:
     NS = [2, 3, 4, 5, 6, 7, 8, 9, 200, 201]
 
@@ -249,6 +256,51 @@ class TestKernelBitIdentity:
             row = (v[j], nodes[j], float(steps[j, 0]), float(betas[j, 0]), float(inv_gammas[j, 0]))
             for got, want in zip(_apply(*row), _apply_ref(*row)):
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("n", NS)
+    def test_cumint_into_stale_buffers_matches_the_expression_form(self, n):
+        # Every entry of out is written: stale nan in out and work changes nothing.
+        rng = np.random.default_rng(300 + n)
+        v = _kernel_rows(rng, n)
+        steps = rng.uniform(1e-3, 2.0, (v.shape[0], 1))
+        for h in (1.7, steps):
+            out, work = np.full(v.shape, np.nan), _stale(_cumint_work(v.shape))
+            assert _cumint(v, h, out=out, work=work) is out
+            assert out.tobytes() == _cumint_ref(v, h).tobytes()
+        out, work = np.full(n, np.nan), _stale(_cumint_work((n,)))
+        assert _cumint(v[0], 0.3, out=out, work=work).tobytes() == _cumint_ref(v[0], 0.3).tobytes()
+
+    @pytest.mark.parametrize("n", NS)
+    def test_seed_in_place_matches_the_closed_form(self, n):
+        # The seed overwrites erf's output, whose last column is erf(lam).
+        lams = np.array([[0.05], [1.0], [6.0]])
+        nodes = np.stack([np.linspace(0.0, lam, n) for lam in lams[:, 0]])
+        gammas = np.array([[0.3], [math.inf], [1e-320]])
+        two_over_gamma = 2.0 / np.maximum(gammas, 1e-300)
+        want = (two_over_gamma + SQRT_PI * erf(nodes)) / (two_over_gamma + SQRT_PI * erf(lams))
+        assert _seed(nodes, gammas).tobytes() == want.tobytes()
+        for j in range(2):
+            assert _seed(nodes[j], 0.3).tobytes() == zero_order(nodes[j], 0.3, float(lams[j, 0])).tobytes()
+
+    @pytest.mark.parametrize("n", NS)
+    @pytest.mark.parametrize("image_is_input", [False, True])
+    def test_apply_into_buffers_matches_the_expression_form(self, n, image_is_input):
+        # The leading rows of larger stale buffers, as the Picard loop passes them;
+        # the image may overwrite the input profile.
+        rng = np.random.default_rng(400 + n)
+        lams = np.array([[0.05], [1.0], [6.0]])
+        nodes = np.stack([np.linspace(0.0, lam, n) for lam in lams[:, 0]])
+        args = (nodes, lams / (n - 1), np.array([[0.0], [0.3], [1.5]]), np.array([[1.0], [0.0], [10.0]]))
+        v = np.sort(rng.uniform(0.0, 1.0, (3, n)), axis=-1)
+        want = _apply_ref(v, *args)
+        tv, psi, weight = np.full((3, 5, n), np.nan)
+        work = tuple(w[:3] for w in _stale(_cumint_work((5, n))))
+        if image_is_input:
+            tv[:3] = v
+        got = _apply(tv[:3] if image_is_input else v, *args, out=(tv[:3], psi[:3], weight[:3], work))
+        assert np.shares_memory(got[0], tv) and np.shares_memory(got[2], weight)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestContraction:
@@ -569,6 +621,36 @@ class TestSolveRows:
         assert (ContractionError in kinds) != allow_unproven
         assert (FixedPointError in kinds) == (max_iter == 5)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 202])
+    def test_rows_retiring_at_different_steps_match_lone_picard(self, monkeypatch, n):
+        # Live rows move to the leading rows of the chunk's buffers as their
+        # neighbours retire; each row still iterates to its lone bits.
+        config = SolverConfig(grid_n=n)
+        monkeypatch.setattr(fixed_point, "_CHUNK_ELEMENTS", 4 * n)
+        points = [point for i, point in enumerate(self.POINTS) if i not in (4, 5)]  # 2 chunks of 4
+        rows = _solve_rows(points, config, keep_profiles=True)
+        for start in (0, 4):
+            assert len(set(rows.iterations[start : start + 4].tolist())) > 1
+        for i, point in enumerate(points):
+            values, d, slope, iterations, residual = lone_picard(GMEParams(*point), config)
+            fields = (rows.profiles[i].tobytes(), rows.d_coeff[i], rows.phi_prime_lambda[i], rows.iterations[i], rows.residual[i])
+            assert fields == (values.tobytes(), d, slope, iterations, residual)
+
+    def test_picard_steps_write_into_two_profile_buffers(self, monkeypatch):
+        # Every image the loop makes is kept alive here, so fresh arrays per
+        # step would show as one memory block per step.
+        images, apply = [], fixed_point._apply
+
+        def spy(*args, **kwargs):
+            result = apply(*args, **kwargs)
+            images.append(result[0])
+            return result
+
+        monkeypatch.setattr(fixed_point, "_apply", spy)
+        sol = solve_gme(GMEParams(0.25, 1.0, 3.0), SolverConfig(grid_n=4001))
+        assert sol.iterations >= 6 and len(images) == sol.iterations + 1
+        assert len({image.ctypes.data for image in images}) <= 2
+
     def test_one_row_per_chunk_on_grids_beyond_the_budget(self, monkeypatch):
         config = SolverConfig(grid_n=101)
         monkeypatch.setattr(fixed_point, "_CHUNK_ELEMENTS", 50)
@@ -663,6 +745,28 @@ class TestPrescribedValueVariant:
         sol = solve_gme(GMEParams(beta, math.inf, lam), cfg)
         oracle = shoot_bvp_dirichlet(beta, lam, cfg)
         assert np.max(np.abs(sol.phi.values - oracle.values)) < 1e-8
+
+    def test_threshold_is_searched_only_to_word_a_refusal(self, monkeypatch):
+        calls, search = [], fixed_point.dirichlet_contraction_threshold
+
+        def counting(lam):
+            calls.append(lam)
+            return search(lam)
+
+        monkeypatch.setattr(fixed_point, "dirichlet_contraction_threshold", counting)
+        points = [(beta, math.inf, lam) for lam in (0.3, 1.0, 4.0) for beta in (0.0, 0.05)]
+        rows = _solve_rows(points, SolverConfig(grid_n=51))
+        assert rows.errors == [None] * len(points) and rows.certified.all()
+        assert calls == []
+        lam = 10.0
+        beta = 1.5 * search(lam)
+        with pytest.raises(ContractionError) as refusal:
+            solve_gme(GMEParams(beta, math.inf, lam))
+        assert str(refusal.value) == (
+            f"beta={beta:g} is at or above the certified contraction threshold {search(lam):.6g} "
+            "for this problem; pass allow_unproven=True to attempt the solve anyway"
+        )
+        assert calls == [lam]
 
     def test_threshold_guard_and_override(self):
         lam = 10.0
