@@ -154,12 +154,11 @@ def _apply(v: np.ndarray, nodes: np.ndarray, step, beta, inv_gamma, out=None) ->
     steps keep the arithmetic order of the formulas above.
 
     out, when given, is (tv, psi, weight, work): three arrays of v's shape
-    and the `_cumint_work(v.shape)` scratch, or the leading rows of larger
-    ones. T v is written to tv and E_v to weight, which are the arrays
-    returned; psi and work are scratch, whose entries on entry are ignored.
-    tv may be v itself, which is read only before tv is written; nothing else
-    among v, nodes and the buffers may overlap. Without out, fresh arrays
-    are used.
+    and the `_cumint_work(v.shape)` scratch. T v is written to tv and E_v to
+    weight, which are the arrays returned; psi and work are scratch, whose
+    entries on entry are ignored. tv may be v itself, which is read only
+    before tv is written; nothing else among v, nodes and the buffers may
+    overlap. Without out, fresh arrays are used.
     """
     if out is None:
         out = (*np.empty((3, *v.shape)), _cumint_work(v.shape))
@@ -363,15 +362,18 @@ def _certified(beta: float, gamma: float, lam: float, allow_unproven: bool) -> b
     # threshold is a rounded root, so the inequality itself settles a refusal.
     # The prescribed-value threshold is an uncached root search, made only
     # when the inequality fails: it also certifies slopes below the rounded
-    # root, and words the refusal.
+    # root, and words the refusal. Each inequality is tested only where it
+    # can hold, so a huge slope cannot overflow it: beta _dirichlet_factor(beta)
+    # >= 3 beta fails erf(lam) < 1 from beta = 1/3, and g(x) / x increases,
+    # so g(2 threshold) > 2.
     if math.isinf(gamma):
-        if beta * _dirichlet_factor(beta) < float(erf(lam)):
+        if beta < 1.0 and beta * _dirichlet_factor(beta) < float(erf(lam)):
             return True
         threshold = dirichlet_contraction_threshold(lam)
         certified = beta < threshold
     else:
         threshold = contraction_threshold(gamma)
-        certified = beta < threshold or contraction_factor(beta, gamma) < 1.0
+        certified = beta < threshold or (beta < 2.0 * threshold and contraction_factor(beta, gamma) < 1.0)
     if not certified and not allow_unproven:
         raise ContractionError(
             f"beta={beta:g} is at or above the certified contraction "
@@ -461,10 +463,10 @@ def _solve_rows(
     what ``solve_gme(GMEParams(*points[i]), config, allow_unproven=...)``
     returns, or in ``errors[i]`` the exception it raises. Only an invalid
     point goes through GMEParams, for its message. Points are iterated
-    together in chunks of at most `_CHUNK_ELEMENTS` node values, each row
-    leaving its chunk as soon as its own update reaches fp_tol, and the
-    post-conditions run once per chunk. The profiles are kept
-    (``profiles``) only with keep_profiles.
+    together in chunks of at most `_CHUNK_ELEMENTS` node values. Each row's
+    result is taken at the step where its own update reaches fp_tol, and its
+    chunk runs until its last row does; the post-conditions run once per
+    chunk. The profiles are kept (``profiles``) only with keep_profiles.
     """
     k = len(points)
     rows = _Rows(
@@ -506,45 +508,36 @@ def _solve_chunk(idx: np.ndarray, params: np.ndarray, config: SolverConfig, rows
     n, k = config.grid_n, len(params)
     beta, gamma, lam = params[:, 0:1], params[:, 1:2], params[:, 2:3]
     nodes = _uniform_nodes(lam, n)
-    args = live_args = (nodes, lam / (n - 1), beta, 1.0 / gamma)
+    args = (nodes, lam / (n - 1), beta, 1.0 / gamma)
 
     # T maps the unit band into itself, so the loop runs on bare arrays with
-    # no per-step checks; `_faults` tests the final profiles. A retired row
-    # keeps its values, iteration count and last update. Every step writes
-    # into buffers made once per chunk: two profile buffers (the seed's and
-    # one more) swap roles, and the live rows are the leading rows of each.
+    # no per-step checks; `_faults` tests the final profiles. Every row is
+    # iterated until the chunk's last row is done. No row's arithmetic reads
+    # another's, so a row's values, iteration count and update are taken at
+    # the first step whose update reaches fp_tol, and its later steps change
+    # nothing it returns. Every step writes into buffers made once per chunk:
+    # two profile buffers (the seed's and one more) swap roles.
     image, psi, weight = np.empty((3, k, n))
-    profiles = [_seed(nodes, gamma), image]  # current, next
-    work = _cumint_work((k, n))
-    v, nv = profiles
-    scratch = (psi, weight, work)
-    live = np.arange(k)
+    v, nv = _seed(nodes, gamma), image
+    scratch = (psi, weight, _cumint_work((k, n)))
     final = np.empty((k, n))
     iterations = np.zeros(k, dtype=int)
     residual = np.empty(k)
     for it in range(1, _FP_MAX_ITER + 1):
-        _apply(v, *live_args, out=(nv, *scratch))
+        _apply(v, *args, out=(nv, *scratch))
         res = np.abs(np.subtract(v, nv, out=v), out=v).max(-1)  # v is spent: reuse it
         v, nv = nv, v
-        profiles.reverse()
-        keep = res > config.fp_tol  # a nan update retires too: no later step mends it
+        keep = res > config.fp_tol  # a nan update is done too: no later step mends it
         if not keep.all():
-            done = ~keep
-            retired = live[done]
-            final[retired], iterations[retired], residual[retired] = v[done], it, res[done]
-            if not keep.any():
+            done = ~keep & (iterations == 0)
+            final[done], iterations[done], residual[done] = v[done], it, res[done]
+            if iterations.all():
                 break
-            live, res = live[keep], res[keep]
-            m = len(live)
-            np.compress(keep, v, axis=0, out=nv[:m])  # the live rows lead the spent buffer
-            profiles.reverse()
-            v, nv = (p[:m] for p in profiles)
-            scratch = (psi[:m], weight[:m], tuple(w[:m] for w in work))
-            live_args = tuple(a[keep] for a in live_args)
     else:
-        final[live], residual[live] = v, res
+        left = iterations == 0
+        final[left], residual[left] = v[left], res[left]
 
-    _, d, weight = _apply(final, *args, out=(profiles[1], psi, weight, work))
+    _, d, weight = _apply(final, *args, out=(nv, *scratch))
     d = d[:, 0]
     rows.d_coeff[idx], rows.phi_prime_lambda[idx] = d, d * weight[:, -1]
     rows.iterations[idx], rows.residual[idx] = iterations, residual

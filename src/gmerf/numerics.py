@@ -193,8 +193,8 @@ def _cumint(v: np.ndarray, h, out: np.ndarray | None = None, work=None) -> np.nd
     Buffers, all optional (a missing one is allocated):
 
     - out has v's shape; every entry of it is written.
-    - work is the (pairs, panels, fives) triple `_cumint_work(v.shape)` makes,
-      or the leading rows of a larger one; its entries on entry are ignored.
+    - work is the (pairs, panels, fives) triple `_cumint_work(v.shape)` makes;
+      its entries on entry are ignored.
 
     No buffer may overlap v or another buffer. Panel sums are built in place,
     keeping the operation order of the formulas.
@@ -232,11 +232,7 @@ def _cumint(v: np.ndarray, h, out: np.ndarray | None = None, work=None) -> np.nd
 
 
 def _cumint_work(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scratch for `_cumint` on arrays of this shape: (pair sums, closing panels, their 5c terms).
-
-    Each is C-contiguous with the leading axes of shape, so the leading rows
-    of a larger set are scratch for fewer rows.
-    """
+    """Scratch for `_cumint` on arrays of this shape: (pair sums, closing panels, their 5c terms)."""
     *rows, n = shape
     odd = (n - 2) // 2  # odd nodes from 3 on
     return np.empty((*rows, (n - 1) // 2)), np.empty((*rows, odd)), np.empty((*rows, odd))

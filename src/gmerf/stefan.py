@@ -87,6 +87,8 @@ class PhysicalParams:
         Ambient temperature.
     beta : float
         Conductivity slope over the active temperature range, >= 0.
+
+    The derived alpha0, ste and gamma must also come out finite and positive.
     """
 
     rho: float
@@ -104,6 +106,11 @@ class PhysicalParams:
         if not (math.isfinite(self.tf) and math.isfinite(self.tinf) and self.tf > self.tinf):
             raise ValueError(f"tf must exceed tinf, got tf={self.tf}, tinf={self.tinf}")
         _require("beta", self.beta, positive=False)
+        # The derived quantities must be usable numbers too: alpha0 = inf would
+        # select the prescribed-value model. rho c may underflow to 0.
+        _require("alpha0", self.alpha0 if self.rho * self.c > 0.0 else math.inf)
+        _require("ste", self.ste)
+        _require("gamma", self.gamma)
 
     @property
     def alpha0(self) -> float:

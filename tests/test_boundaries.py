@@ -173,6 +173,26 @@ def test_out_of_domain_scalar_is_rejected(entry, valid, name, value):
         entry(**{**valid, name: value})
 
 
+# PhysicalParams fields each inside its domain whose derived alpha0 = k0/(rho c),
+# ste = c (tf - tinf)/l or gamma = 2 h0 sqrt(alpha0)/k0 is not finite and positive.
+DERIVED_REJECTED = [
+    pytest.param({"rho": 1e-200, "c": 1e-200}, "alpha0", id="alpha0-rho-c-underflows"),
+    pytest.param({"rho": 1e-160, "c": 1e-160}, "alpha0", id="alpha0-overflows"),
+    pytest.param({"k0": 1e-320, "rho": 1e10, "c": 1e10}, "alpha0", id="alpha0-underflows"),
+    pytest.param({"c": 1e300, "l": 1e-10}, "ste", id="ste-overflows"),
+    pytest.param({"c": 1e-300, "l": 1e300}, "ste", id="ste-underflows"),
+    pytest.param({"tf": 1e308, "tinf": -1e308}, "ste", id="ste-range-overflows"),
+    pytest.param({"h0": 1e300, "k0": 1e-300, "rho": 1.0, "c": 1.0}, "gamma", id="gamma-overflows"),
+    pytest.param({"h0": 5e-324, "k0": 1e300, "rho": 1.0, "c": 1.0}, "gamma", id="gamma-underflows"),
+]
+
+
+@pytest.mark.parametrize("fields, name", DERIVED_REJECTED)
+def test_physical_params_with_unusable_derived_quantity_is_rejected(fields, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+        PhysicalParams(**{**PHYSICAL, **fields})
+
+
 @pytest.mark.parametrize("entry, valid, domains", [pytest.param(*row, id=row[0].__name__) for row in TABLE])
 def test_valid_arguments_are_accepted(entry, valid, domains):
     entry(**valid)

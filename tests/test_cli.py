@@ -393,6 +393,13 @@ class TestSolve:
         argv = ["solve", "--rho", "1", "--c", "1", "--l", "1", "--k0", "1", "--h0", "1", "--tf", "-1", "--tinf", "1"]
         assert main(argv) == 1
 
+    @pytest.mark.parametrize("rho_c", ["1e-200", "1e-160"], ids=["underflow", "overflow"])
+    def test_unusable_diffusivity_is_validation_error(self, capsys, rho_c):
+        # rho c underflows to 0, or k0/(rho c) overflows to inf.
+        code, out, err = run(capsys, ["solve", *self.FLAGS, "--rho", rho_c, "--c", rho_c])
+        assert (code, out) == (1, "")
+        assert "alpha0 must be finite and positive" in err
+
     def test_out_of_regime_slope_is_solver_error(self, capsys):
         argv = ["solve", *self.FLAGS[:-1], "0.5"]
         code, _, err = run(capsys, argv)
@@ -565,6 +572,16 @@ class TestSweep:
         assert "ok" in statuses
         assert any("must be" in st for st in statuses)  # invalid point
         assert any("contraction threshold" in st for st in statuses)  # refused slope
+
+    def test_huge_slope_gets_a_refusal_row(self, capsys, tmp_path):
+        path = self.make_spec(tmp_path, beta=[1e300], gamma=[1e999, 1.0], **{"lambda": [1.0]}, grid_n=31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, ["sweep", "--spec", str(path)])
+        assert code == 2
+        _, rows = parse_csv(out)
+        assert len(rows) == 2
+        assert all("is at or above the certified contraction threshold" in r[7] for r in rows)
 
     @pytest.mark.parametrize("grid_n", [2.5, True, "51", 2])
     def test_bad_grid_n_in_spec_is_usage_error(self, capsys, tmp_path, grid_n):

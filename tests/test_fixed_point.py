@@ -285,19 +285,19 @@ class TestKernelBitIdentity:
     @pytest.mark.parametrize("n", NS)
     @pytest.mark.parametrize("image_is_input", [False, True])
     def test_apply_into_buffers_matches_the_expression_form(self, n, image_is_input):
-        # The leading rows of larger stale buffers, as the Picard loop passes them;
-        # the image may overwrite the input profile.
+        # Stale buffers of the rows' shape, as the Picard loop passes them; the
+        # image may overwrite the input profile.
         rng = np.random.default_rng(400 + n)
         lams = np.array([[0.05], [1.0], [6.0]])
         nodes = np.stack([np.linspace(0.0, lam, n) for lam in lams[:, 0]])
         args = (nodes, lams / (n - 1), np.array([[0.0], [0.3], [1.5]]), np.array([[1.0], [0.0], [10.0]]))
         v = np.sort(rng.uniform(0.0, 1.0, (3, n)), axis=-1)
         want = _apply_ref(v, *args)
-        tv, psi, weight = np.full((3, 5, n), np.nan)
-        work = tuple(w[:3] for w in _stale(_cumint_work((5, n))))
+        tv, psi, weight = np.full((3, 3, n), np.nan)
+        work = _stale(_cumint_work((3, n)))
         if image_is_input:
-            tv[:3] = v
-        got = _apply(tv[:3] if image_is_input else v, *args, out=(tv[:3], psi[:3], weight[:3], work))
+            tv[:] = v
+        got = _apply(tv if image_is_input else v, *args, out=(tv, psi, weight, work))
         assert np.shares_memory(got[0], tv) and np.shares_memory(got[2], weight)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
@@ -525,6 +525,20 @@ class TestSolveGme:
         with pytest.raises(ContractionError):
             solve_gme(GMEParams(1e-10, 1e13, 1.0), SolverConfig(grid_n=31))
 
+    @pytest.mark.parametrize("gamma", [1.0, 1e-300, math.inf])
+    def test_huge_slope_is_refused_without_float_warnings(self, gamma):
+        params, config = GMEParams(1e300, gamma, 1.0), SolverConfig(grid_n=31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractionError, match="is at or above the certified contraction threshold"):
+                solve_gme(params, config)
+            try:
+                sol = solve_gme(params, config, allow_unproven=True)
+            except GmerfError:
+                pass
+            else:
+                assert not sol.contraction_certified
+
     def test_iteration_cap_raises_with_diagnostics(self, monkeypatch):
         monkeypatch.setattr(fixed_point, "_FP_MAX_ITER", 1)
         with pytest.raises(FixedPointError) as excinfo:
@@ -623,8 +637,8 @@ class TestSolveRows:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 202])
     def test_rows_retiring_at_different_steps_match_lone_picard(self, monkeypatch, n):
-        # Live rows move to the leading rows of the chunk's buffers as their
-        # neighbours retire; each row still iterates to its lone bits.
+        # Rows retire at different steps while their chunk iterates on; each
+        # row's result is still its lone bits.
         config = SolverConfig(grid_n=n)
         monkeypatch.setattr(fixed_point, "_CHUNK_ELEMENTS", 4 * n)
         points = [point for i, point in enumerate(self.POINTS) if i not in (4, 5)]  # 2 chunks of 4
@@ -635,6 +649,22 @@ class TestSolveRows:
             values, d, slope, iterations, residual = lone_picard(GMEParams(*point), config)
             fields = (rows.profiles[i].tobytes(), rows.d_coeff[i], rows.phi_prime_lambda[i], rows.iterations[i], rows.residual[i])
             assert fields == (values.tobytes(), d, slope, iterations, residual)
+
+    def test_retired_rows_iterate_on_with_their_chunk(self, monkeypatch):
+        # Rows that retire early stay in every step of their chunk, which
+        # runs until its last row retires, then once more for the results.
+        shapes, apply = [], fixed_point._apply
+
+        def spy(v, *args, **kwargs):
+            shapes.append(v.shape)
+            return apply(v, *args, **kwargs)
+
+        monkeypatch.setattr(fixed_point, "_apply", spy)
+        config = SolverConfig(grid_n=101)
+        points = [point for i, point in enumerate(self.POINTS) if i not in (4, 5)]
+        rows = _solve_rows(points, config)
+        assert len(set(rows.iterations.tolist())) > 1
+        assert shapes == [(len(points), config.grid_n)] * (rows.iterations.max() + 1)
 
     def test_picard_steps_write_into_two_profile_buffers(self, monkeypatch):
         # Every image the loop makes is kept alive here, so fresh arrays per
