@@ -43,7 +43,18 @@ import numpy as np
 
 from .approx import _order0
 from .errors import ContractionError, FixedPointError, GmerfError
-from .numerics import SQRT_PI, GridFunction, _cumint, _cumint_work, _require, _uniform_nodes, bracket_root, erf, find_root
+from .numerics import (
+    SQRT_PI,
+    GridFunction,
+    _cumint,
+    _cumint_work,
+    _cumint_work_size,
+    _require,
+    _uniform_nodes,
+    bracket_root,
+    erf,
+    find_root,
+)
 # Unused here; kept bound because perfbench/tracing.py wraps it at this attribute.
 from .numerics import cumulative_integral  # noqa: F401
 
@@ -120,14 +131,19 @@ class GMEParams:
 
     def __post_init__(self):
         _require("beta", self.beta, positive=False)
-        if math.isnan(self.gamma) or self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive (finite or inf), got {self.gamma}")
+        _require_gamma(self.gamma)
         _require("lam", self.lam)
 
     @property
     def dirichlet(self) -> bool:
         """True for the prescribed-value (gamma = inf) variant."""
         return math.isinf(self.gamma)
+
+
+def _require_gamma(gamma: float) -> None:
+    """ValueError unless gamma is > 0, finite or inf: the profile problem's gamma rule."""
+    if math.isnan(gamma) or gamma <= 0.0:
+        raise ValueError(f"gamma must be positive (finite or inf), got {gamma}")
 
 
 def _require_unit_band(h: GridFunction, what: str) -> None:
@@ -404,7 +420,9 @@ def solve_gme(
         Slope at or above the certified range without the override.
     FixedPointError
         Iteration cap reached before the update fell below ``config.fp_tol``,
-        or an update that is nan (the operator overflows at these parameters).
+        an update that is nan (the operator overflows at these parameters),
+        or a converged profile that breaks a post-condition of `GMESolution`
+        (under-resolved grids, huge slopes under the override).
     """
     point = (params.beta, params.gamma, params.lam)
     rows = _solve_rows([point], config, allow_unproven=allow_unproven, keep_profiles=True)
@@ -516,11 +534,16 @@ def _solve_chunk(idx: np.ndarray, params: np.ndarray, config: SolverConfig, rows
     # another's, so a row's values, iteration count and update are taken at
     # the first step whose update reaches fp_tol, and its later steps change
     # nothing it returns. Every step writes into buffers made once per chunk:
-    # two profile buffers (the seed's and one more) swap roles.
-    image, psi, weight = np.empty((3, k, n))
-    v, nv = _seed(nodes, gamma), image
-    scratch = (psi, weight, _cumint_work((k, n)))
-    final = np.empty((k, n))
+    # two profile buffers (the seed's and one more) swap roles. All but the
+    # nodes and the seed are carved from one block, made after the seed's
+    # temporaries are freed: glibc's malloc returns the top of its heap to
+    # the kernel only beyond twice the largest block it has freed, so later
+    # chunks reuse this memory instead of faulting it in again page by page,
+    # and the peak stays that of separate arrays.
+    v = _seed(nodes, gamma)
+    block = np.empty(k * (4 * n + _cumint_work_size(n)))
+    nv, psi, weight, final = block[: 4 * k * n].reshape(4, k, n)
+    scratch = (psi, weight, _cumint_work((k, n), block[4 * k * n :]))
     iterations = np.zeros(k, dtype=int)
     residual = np.empty(k)
     for it in range(1, _FP_MAX_ITER + 1):
@@ -564,4 +587,5 @@ def _solve_chunk(idx: np.ndarray, params: np.ndarray, config: SolverConfig, rows
                 iterations=int(iterations[j]),
             )
         else:
-            rows.errors[idx[j]] = ValueError(faults[j])
+            # A solver outcome, not a bad input: the text `GMESolution` gives its ValueError.
+            rows.errors[idx[j]] = FixedPointError(faults[j], residual=last, iterations=int(iterations[j]))

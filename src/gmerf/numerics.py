@@ -65,8 +65,9 @@ _ERF_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887
 _ERF_SATURATED = 8.0
 
 
-def _horner(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
-    # Rounds as Cephes polevl does (and as p1evl does for a leading 1).
+def _horner(x, coeffs: tuple[float, ...]):
+    # Rounds as Cephes polevl does (and as p1evl does for a leading 1); x is an
+    # array or a float.
     out = x * coeffs[0]
     out += coeffs[1]
     for c in coeffs[2:]:
@@ -80,8 +81,11 @@ def erf(x):
 
     A port of the Cephes rational approximations, within a few ulps of the
     correctly rounded value; odd, with erf(+-0) = +-0, erf(+-inf) = +-1 and
-    erf(nan) = nan. Each branch is evaluated only on the points that need it.
+    erf(nan) = nan. Each branch is evaluated only on the points that need it;
+    a float runs the same operations on floats and returns a float.
     """
+    if isinstance(x, float):
+        return _erf_float(x)
     x = np.asarray(x, dtype=float)
     y = np.abs(x, out=np.empty(x.shape))
     core = y <= 1.0
@@ -101,6 +105,20 @@ def erf(x):
         y[tail] = 1.0 - w
     np.copysign(y, x, out=y)
     return y[()] if y.ndim == 0 else y
+
+
+def _erf_float(x: float) -> float:
+    # `erf` on one float, bit for bit: the array path's operations in its order,
+    # with numpy's exp, which may round differently from math.exp.
+    y = abs(x)
+    if y <= 1.0:
+        z = y * y
+        y = _horner(z, _ERF_T) * y / _horner(z, _ERF_U)
+    elif y < _ERF_SATURATED:
+        y = 1.0 - float(np.exp(-(y * y))) * _horner(y, _ERF_P) / _horner(y, _ERF_Q)
+    elif y == y:
+        y = 1.0  # saturated; nan stays nan
+    return math.copysign(y, x)
 
 
 def _uniform_nodes(lam, n: int) -> np.ndarray:
@@ -231,11 +249,28 @@ def _cumint(v: np.ndarray, h, out: np.ndarray | None = None, work=None) -> np.nd
     return out
 
 
-def _cumint_work(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scratch for `_cumint` on arrays of this shape: (pair sums, closing panels, their 5c terms)."""
+def _cumint_work(shape: tuple[int, ...], buffer: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch for `_cumint` on arrays of this shape: (pair sums, closing panels, their 5c terms).
+
+    The three are carved, each contiguous, from the front of the flat array
+    buffer, which holds at least `_cumint_work_size(n)` values per row; a new
+    one is made when none is given.
+    """
     *rows, n = shape
-    odd = (n - 2) // 2  # odd nodes from 3 on
-    return np.empty((*rows, (n - 1) // 2)), np.empty((*rows, odd)), np.empty((*rows, odd))
+    k = math.prod(rows)
+    if buffer is None:
+        buffer = np.empty(k * _cumint_work_size(n))
+    half, odd = (n - 1) // 2, (n - 2) // 2  # odd nodes: all, and from 3 on
+    return (
+        buffer[: k * half].reshape(*rows, half),
+        buffer[k * half : k * (half + odd)].reshape(*rows, odd),
+        buffer[k * (half + odd) : k * (half + 2 * odd)].reshape(*rows, odd),
+    )
+
+
+def _cumint_work_size(n: int) -> int:
+    """Values per row of n nodes that `_cumint_work` carves."""
+    return (n - 1) // 2 + 2 * ((n - 2) // 2)
 
 
 def _floor_panels(panel: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:

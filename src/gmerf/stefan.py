@@ -39,10 +39,11 @@ from .fixed_point import (
     GMESolution,
     SolverConfig,
     _raise_first,
+    _require_gamma,
     _solve_rows,
     solve_gme,
 )
-from .numerics import SQRT_PI, _require, bracket_root, erf, find_root
+from .numerics import SQRT_PI, RootBracket, _require, bracket_root, erf, find_root
 
 __all__ = [
     "PhysicalParams",
@@ -57,12 +58,12 @@ __all__ = [
     "phi_prime_bounds",
 ]
 
-# Front coefficient search: initial bracket, growth cap, and floor while
-# shrinking toward 0 for very small Stefan numbers.
-_LAM_LO = 1e-3
-_LAM_HI = 1.0
+# Front coefficient search: growth cap, floor while shrinking toward 0 for
+# very small Stefan numbers, and the relative pad around the bound crossings
+# that start the bracket.
 _LAM_CAP = 50.0
 _LAM_FLOOR = 1e-12
+_BOUND_PAD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -163,25 +164,37 @@ def solve_lambda(
 ) -> float:
     """Front coefficient lam* solving phi'(lam)/lam = 2 / ((1 + beta) Ste).
 
-    The bracket starts at [1e-3, 1]; the low end halves while the balance is
-    non-positive there (tiny Stefan numbers), the high end doubles up to
-    lam = 50. A coarse scan afterwards looks for further sign changes and
-    warns if any appear; the smallest bracketed root is returned.
+    The bracket starts where closed-form lower and upper bounds on
+    phi'(lam)/lam cross the right-hand side, widened by a relative 1e-6; it
+    holds the root of the exact balance before any profile is solved. The
+    balance's own sign at each end decides the bracket: the low end halves
+    while the balance is non-positive there (down to lam = 1e-12), and the
+    high end doubles up to lam = 50 while it is positive. So a coarse grid
+    whose discrete root lies outside the bounds still gets that root. A
+    coarse scan afterwards looks for further sign changes and warns if any
+    appear; the smallest bracketed root is returned.
 
     Raises
     ------
+    ValueError
+        beta, gamma or ste out of range.
     BracketError
         No sign change within [1e-12, 50].
     """
-    # beta enters the right-hand side before any profile is set up.
+    # beta enters the right-hand side, and gamma the bounds, before any
+    # profile is set up.
     _require("beta", beta, positive=False)
     _require("ste", ste)
+    _require_gamma(gamma)
     rhs = 2.0 / ((1.0 + beta) * ste)
 
     def balance(lam: float) -> float:
         return boundary_slope_ratio(lam, beta, gamma, config) - rhs
 
-    lo = _LAM_LO
+    # log rhs from its factors: rhs itself may round to 0 or inf.
+    log_rhs = math.log(2.0) - math.log1p(beta) - math.log(ste)
+    lo = max(_bound_crossing(_log_phi_prime_lower, beta, gamma, log_rhs) * (1.0 - _BOUND_PAD), _LAM_FLOOR)
+    hi = min(_bound_crossing(_log_phi_prime_upper, beta, gamma, log_rhs) * (1.0 + _BOUND_PAD), _LAM_CAP)
     f_lo = balance(lo)
     while f_lo <= 0.0:
         if f_lo == 0.0:
@@ -192,10 +205,42 @@ def solve_lambda(
         f_lo = balance(lo)
 
     # balance(lo) > 0 here, and rereading it is a hit in the profile cache.
-    bracket = bracket_root(balance, lo, max(_LAM_HI, 2.0 * lo), max_hi=_LAM_CAP)
+    bracket = bracket_root(balance, lo, hi, max_hi=_LAM_CAP)
     root = find_root(balance, bracket)
     _warn_on_extra_roots(root, balance_rhs=rhs, beta=beta, gamma=gamma)
     return root
+
+
+def _log_phi_prime_lower(beta: float, gamma: float, lam: float) -> float:
+    # log of the paper's lower bound on phi'(lam), exact at beta = 0:
+    # e^{-lam^2} / ((1+beta) (1/gamma + sqrt(1+beta) (sqrt(pi)/2) erf(lam/sqrt(1+beta)))).
+    root = math.sqrt(1.0 + beta)
+    return -lam * lam - math.log((1.0 + beta) * (1.0 / gamma + root * (SQRT_PI / 2.0) * erf(lam / root)))
+
+
+def _log_phi_prime_upper(beta: float, gamma: float, lam: float) -> float:
+    # log of an upper bound on phi'(lam) for every lam > 0, equal to the lower
+    # one at beta = 0: e^{-lam^2/(1+beta)} / ((1+beta)/gamma + (sqrt(pi)/2) erf(lam)).
+    # With 1 <= Psi <= 1+beta on [0, lam], E(lam) <= e^{-lam^2/(1+beta)}/(1+beta)
+    # and int_0^lam E >= (sqrt(pi)/2) erf(lam)/(1+beta); phi'(lam) = D E(lam).
+    return -lam * lam / (1.0 + beta) - math.log((1.0 + beta) / gamma + (SQRT_PI / 2.0) * erf(lam))
+
+
+def _bound_crossing(log_bound, beta: float, gamma: float, log_rhs: float) -> float:
+    # The lam in [_LAM_FLOOR, _LAM_CAP] where bound(lam)/lam, which falls from
+    # +inf to 0, meets rhs, or the end of that range beyond which it lies.
+    # Searched in log lam, where the log of the ratio is smooth and never
+    # underflows, so the root is found to a relative 1e-12.
+    def gap(t: float) -> float:
+        return log_bound(beta, gamma, math.exp(t)) - t - log_rhs
+
+    lo, hi = math.log(_LAM_FLOOR), math.log(_LAM_CAP)
+    f_lo, f_hi = gap(lo), gap(hi)
+    if f_lo <= 0.0:
+        return _LAM_FLOOR
+    if f_hi >= 0.0:
+        return _LAM_CAP
+    return math.exp(find_root(gap, RootBracket(lo, hi, f_lo, f_hi)))
 
 
 _SCAN_CONFIG = SolverConfig(grid_n=201, fp_tol=1e-8)
@@ -326,15 +371,12 @@ def phi_prime_bounds(beta: float, gamma: float, lam: float) -> tuple[float, floa
     at beta = 0. upper = gamma/(1+beta) e^{-lam/(1+beta)} is guaranteed for
     lam >= 1 (the derivation gives exponent -lam^2/(1+beta); the quoted form
     is weaker there and can fail for small lam). Both tend to gamma/(1+beta)
-    as lam -> 0.
+    as lam -> 0. `solve_lambda` starts its bracket from the same lower bound
+    and a tighter upper one that holds for every lam.
     """
     _require("beta", beta, positive=False)
     _require("gamma", gamma)
     _require("lam", lam)
-    front = gamma / (1.0 + beta)
-    root = math.sqrt(1.0 + beta)
-    lower = front * math.exp(-lam * lam) / (
-        1.0 + gamma * root * (SQRT_PI / 2.0) * float(erf(lam / root))
-    )
-    upper = front * math.exp(-lam / (1.0 + beta))
+    lower = math.exp(_log_phi_prime_lower(beta, gamma, lam))
+    upper = gamma / (1.0 + beta) * math.exp(-lam / (1.0 + beta))
     return lower, upper

@@ -545,6 +545,15 @@ class TestSweep:
         assert all(r[3] == "" for r in bad)
         assert all("," not in r[7] for r in bad)
 
+    def test_post_condition_breach_exits_two(self, capsys, tmp_path):
+        # At 4 nodes (0.01, 2, 5) converges to a profile that is not
+        # non-decreasing: a solver failure, so exit 2, not a usage error.
+        path = self.make_spec(tmp_path, beta=[0.01], gamma=[2.0], **{"lambda": [5.0]})
+        code, out, _ = run(capsys, ["sweep", "--spec", str(path), "--grid-n", "4"])
+        assert code == 2
+        _, rows = parse_csv(out)
+        assert [r[7] for r in rows] == ["solution profile is not non-decreasing"]
+
     @pytest.mark.parametrize("grid_n", [64, 101])
     def test_matches_per_point_solves_byte_for_byte(self, capsys, tmp_path, monkeypatch, grid_n):
         # Mixed rows: invalid points, refused slopes, gamma = inf, several

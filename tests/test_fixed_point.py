@@ -539,6 +539,18 @@ class TestSolveGme:
             else:
                 assert not sol.contraction_certified
 
+    @pytest.mark.parametrize("gamma, lam", [(math.inf, 1.0), (1e300, 1.0), (1e300, 40.0)])
+    def test_post_condition_breach_is_a_solver_failure(self, gamma, lam):
+        # A converged profile that breaks a post-condition is an outcome of the
+        # solve, not a bad input: FixedPointError with the post-condition's
+        # text and the row's diagnostics.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FixedPointError, match="^solution profile is not non-decreasing$") as excinfo:
+                solve_gme(GMEParams(1e10, gamma, lam), allow_unproven=True)
+        assert excinfo.value.iterations == 3
+        assert excinfo.value.residual <= DEFAULT_CONFIG.fp_tol
+
     def test_iteration_cap_raises_with_diagnostics(self, monkeypatch):
         monkeypatch.setattr(fixed_point, "_FP_MAX_ITER", 1)
         with pytest.raises(FixedPointError) as excinfo:
@@ -681,6 +693,31 @@ class TestSolveRows:
         assert sol.iterations >= 6 and len(images) == sol.iterations + 1
         assert len({image.ctypes.data for image in images}) <= 2
 
+    def test_chunk_buffers_are_carved_from_one_block(self, monkeypatch):
+        # The image, psi, weight, quadrature scratch and final profiles of a
+        # chunk are views of one allocation, which the allocator then keeps
+        # for the next chunk; the nodes and the seed are not.
+        calls, apply = [], fixed_point._apply
+
+        def spy(v, nodes, *args, out=None):
+            calls.append((v, nodes, out))
+            return apply(v, nodes, *args, out=out)
+
+        monkeypatch.setattr(fixed_point, "_apply", spy)
+        monkeypatch.setattr(fixed_point, "_CHUNK_ELEMENTS", 3 * 101)
+        _solve_rows(self.POINTS[:6], SolverConfig(grid_n=101))
+        blocks = set()
+        for v, nodes, (tv, psi, weight, work) in calls:
+            block = psi.base
+            assert block is not None and block.ndim == 1
+            assert all(a.base is block for a in (weight, *work))
+            assert all(a.base is block or a.base is None for a in (v, tv))  # the block's image or the seed
+            assert nodes.base is not block
+            blocks.add(id(block))
+        assert len(blocks) == 2  # one per chunk
+        final, _, (image, psi, _, _) = calls[-1]
+        assert final.base is psi.base and not np.shares_memory(final, image)
+
     def test_one_row_per_chunk_on_grids_beyond_the_budget(self, monkeypatch):
         config = SolverConfig(grid_n=101)
         monkeypatch.setattr(fixed_point, "_CHUNK_ELEMENTS", 50)
@@ -742,9 +779,11 @@ class TestSolveRows:
         failures = [exc for exc in rows.errors if exc is not None]
         assert len(failures) == 9
         assert {type(exc) for exc in failures} == {ValueError, ContractionError, FixedPointError}
-        assert "solution profile is not non-decreasing" in map(str, failures)
+        # The under-resolved row's post-condition breach is a solver failure.
+        assert [type(exc) for exc in failures if str(exc) == "solution profile is not non-decreasing"] == [FixedPointError]
         assert [(exc.iterations, math.isnan(exc.residual)) for exc in failures if isinstance(exc, FixedPointError)] == [
             (6, False),
+            (5, False),
             (1, True),
         ]
 

@@ -91,7 +91,21 @@ class TestErf:
             assert ys.tobytes() == erf(np.ascontiguousarray(view)).tobytes()
 
     def test_scalar_and_one_element_array_agree_bitwise(self):
-        for x in (0.0, -0.0, 1e-310, 0.3, -1.0, 1.0000000000000002, 2.5, -7.9, 8.0, 40.0, math.inf, math.nan):
+        # A float takes its own path; both branches, the branch edges, the
+        # saturated range, subnormals, signed zeros, infinities and nan.
+        rng = np.random.default_rng(3)
+        edges = [0.0, -0.0, 1e-310, 5e-324, 1.0, -1.0, 1.0000000000000002, np.nextafter(8.0, 0.0), 8.0, 40.0]
+        xs = np.concatenate([
+            edges,
+            [math.inf, -math.inf, math.nan],
+            rng.uniform(-1.0, 1.0, 4000),
+            rng.uniform(-9.0, 9.0, 4000),
+            rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-320.0, 2.0, 2000),
+        ])
+        got = np.array([erf(x) for x in xs.tolist()])
+        assert all(isinstance(erf(x), float) for x in xs[:13].tolist())
+        assert got.tobytes() == erf(xs).tobytes()
+        for x in xs[:13].tolist():
             assert np.float64(erf(x)).tobytes() == erf(np.array([x]))[0].tobytes(), x
 
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gmerf import stefan
 from gmerf.errors import BracketError, ContractionError
 from gmerf.fixed_point import (
     DEFAULT_CONFIG,
@@ -16,7 +17,12 @@ from gmerf.fixed_point import (
     solve_gme,
 )
 from gmerf.stefan import (
+    _BOUND_PAD,
+    _SCAN_CONFIG,
     PhysicalParams,
+    _bound_crossing,
+    _log_phi_prime_lower,
+    _log_phi_prime_upper,
     _solved,
     boundary_slope_ratio,
     dirichlet_gap,
@@ -165,6 +171,57 @@ class TestSolveLambda:
         with pytest.raises(ValueError):
             solve_lambda(0.1, 1.0, 0.0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, 0.0, -1.0, -math.inf])
+    def test_rejects_bad_gamma_before_any_profile_solve(self, monkeypatch, gamma):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a profile was solved")
+
+        monkeypatch.setattr(stefan, "boundary_slope_ratio", unreachable)
+        with pytest.raises(ValueError, match=r"^gamma must be positive \(finite or inf\), got "):
+            solve_lambda(0.1, gamma, 1.0)
+
+    def test_readme_case_solves_few_profiles(self, monkeypatch):
+        # The bound bracket holds lam* before any profile is solved, so the
+        # root search solves at most 7 profiles on the case's grid; the
+        # multiplicity scan solves 13 on its own.
+        solved = []
+        real = stefan.solve_gme
+        monkeypatch.setattr(stefan, "solve_gme", lambda params, config: solved.append(config) or real(params, config))
+        _solved.cache_clear()
+        sol = solve_stefan(sample_physical(l=2.0), DEFAULT_CONFIG)
+        assert sol.lambda_star == pytest.approx(0.59487, abs=1e-5)
+        assert solved.count(DEFAULT_CONFIG) <= 7
+        assert solved.count(_SCAN_CONFIG) <= 13
+        assert len(solved) == _solved.cache_info().misses
+
+    @pytest.mark.parametrize("gamma, ste, grid_n, below", [(1.0, 3.0, 5, True), (0.5, 20.0, 3, False)])
+    def test_coarse_root_outside_the_bound_bracket_matches_bisection(self, gamma, ste, grid_n, below):
+        # The bounds hold for the exact profile; a coarse grid's quadrature
+        # error puts its own root outside them, and the bracket widens to it.
+        beta, config = 0.0, SolverConfig(grid_n=grid_n)
+        rhs = 2.0 / ((1.0 + beta) * ste)
+        lo = _bound_crossing(_log_phi_prime_lower, beta, gamma, math.log(rhs)) * (1.0 - _BOUND_PAD)
+        hi = _bound_crossing(_log_phi_prime_upper, beta, gamma, math.log(rhs)) * (1.0 + _BOUND_PAD)
+        lam = solve_lambda(beta, gamma, ste, config)
+        assert lam < lo if below else lam > hi
+        a, b = 1e-6, 5.0
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            if boundary_slope_ratio(mid, beta, gamma, config) > rhs:
+                a = mid
+            else:
+                b = mid
+        assert lam == pytest.approx(0.5 * (a + b), abs=1e-12)
+
+    def test_prescribed_value_front_probes_near_its_root(self):
+        # At gamma = inf the certified slope range grows with lam; the search
+        # solves profiles only near lam*, where beta = 0.001 is certified.
+        beta, ste = 0.001, 1.0
+        lam = solve_lambda(beta, math.inf, ste)
+        assert lam == pytest.approx(0.62024, abs=1e-5)
+        rhs = 2.0 / ((1.0 + beta) * ste)
+        assert abs(boundary_slope_ratio(lam, beta, math.inf) - rhs) < BALANCE_TOL * rhs
+
     @pytest.mark.parametrize("window, beyond_root", [((0.03, 0.05), False), ((15.0, 20.0), True)])
     def test_warns_on_spurious_sign_change(self, monkeypatch, window, beyond_root):
         # H = 1/lam crosses rhs = 0.8 once, at lam = 1.25; inside the window
@@ -301,6 +358,29 @@ class TestDerivativeBounds:
         lo, hi = phi_prime_bounds(beta, gamma, 1e-8)
         assert lo == pytest.approx(cap, rel=1e-6)
         assert hi == pytest.approx(cap, rel=1e-6)
+
+    def test_front_bracket_bounds_sandwich_solved_slopes(self):
+        # The lower and upper bounds the front bracket starts from hold at
+        # every lam, gamma = inf included, strictly for beta > 0 where the
+        # slope is representable; at beta = 0 both are exact.
+        rng = np.random.default_rng(11)
+        for i in range(30):
+            gamma = math.inf if i % 4 == 0 else 10.0 ** rng.uniform(-2.0, 2.0)
+            lam = 40.0 if i % 6 == 1 else 10.0 ** rng.uniform(-2.0, math.log10(40.0))
+            threshold = dirichlet_contraction_threshold(lam) if math.isinf(gamma) else contraction_threshold(gamma)
+            beta = 0.0 if i % 5 == 2 else rng.uniform(0.05, 0.95) * threshold
+            slope = solve_gme(GMEParams(beta, gamma, lam)).phi_prime_lambda
+            lo = math.exp(_log_phi_prime_lower(beta, gamma, lam))
+            hi = math.exp(_log_phi_prime_upper(beta, gamma, lam))
+            if beta == 0.0:
+                assert lo == pytest.approx(hi, rel=1e-14)
+                assert slope == pytest.approx(lo, rel=1e-9, abs=1e-300)
+            elif hi > 1e-300:
+                assert lo < slope < hi, (beta, gamma, lam)
+            else:
+                assert lo <= slope <= hi, (beta, gamma, lam)
+        # The lower bound is the one phi_prime_bounds returns.
+        assert phi_prime_bounds(0.2, 1.5, 0.7)[0] == math.exp(_log_phi_prime_lower(0.2, 1.5, 0.7))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
