@@ -35,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -163,9 +164,11 @@ def _apply(v: np.ndarray, nodes: np.ndarray, step, beta, inv_gamma, out=None) ->
 
     v and nodes have shape (..., n), one problem per row; step, beta and
     inv_gamma (1/gamma, 0 for gamma = inf) are scalars or columns of shape
-    (..., 1). E_v(x) = exp(-2 int_0^x s / Psi_v(s) ds) / Psi_v(x),
-    Psi_v = 1 + beta v, and D_v = 1 / (1/gamma + int_0^lam E_v), of shape
-    (..., 1). The image is clipped at 1 and pinned to 1 at lam. No checks:
+    (..., 1). One problem runs fastest as 1-D rows with Python-float
+    parameters, which no numpy call then broadcasts.
+    E_v(x) = exp(-2 int_0^x s / Psi_v(s) ds) / Psi_v(x), Psi_v = 1 + beta v,
+    and D_v = 1 / (1/gamma + int_0^lam E_v), of shape (..., 1), so (1,) for
+    1-D rows. The image is clipped at 1 and pinned to 1 at lam. No checks:
     each row must lie in the unit band, which T maps into itself. In-place
     steps keep the arithmetic order of the formulas above.
 
@@ -539,15 +542,23 @@ def _solve_chunk(idx: np.ndarray, params: np.ndarray, config: SolverConfig, rows
     # temporaries are freed: glibc's malloc returns the top of its heap to
     # the kernel only beyond twice the largest block it has freed, so later
     # chunks reuse this memory instead of faulting it in again page by page,
-    # and the peak stays that of separate arrays.
+    # and the peak stays that of separate arrays. The loop keeps (k, n)
+    # profiles and hands `_apply` kernel(array): for a lone row (k = 1) its
+    # 1-D view, with the parameters as Python floats, which runs the same
+    # operations with no column for numpy to broadcast in each call.
     v = _seed(nodes, gamma)
     block = np.empty(k * (4 * n + _cumint_work_size(n)))
     nv, psi, weight, final = block[: 4 * k * n].reshape(4, k, n)
-    scratch = (psi, weight, _cumint_work((k, n), block[4 * k * n :]))
+    if k == 1:
+        kernel = operator.itemgetter(0)
+        args = (nodes[0], *(a.item() for a in args[1:]))
+    else:
+        kernel = lambda a: a  # noqa: E731
+    scratch = (kernel(psi), kernel(weight), _cumint_work(kernel(psi).shape, block[4 * k * n :]))
     iterations = np.zeros(k, dtype=int)
     residual = np.empty(k)
     for it in range(1, _FP_MAX_ITER + 1):
-        _apply(v, *args, out=(nv, *scratch))
+        _apply(kernel(v), *args, out=(kernel(nv), *scratch))
         res = np.abs(np.subtract(v, nv, out=v), out=v).max(-1)  # v is spent: reuse it
         v, nv = nv, v
         keep = res > config.fp_tol  # a nan update is done too: no later step mends it
@@ -560,9 +571,9 @@ def _solve_chunk(idx: np.ndarray, params: np.ndarray, config: SolverConfig, rows
         left = iterations == 0
         final[left], residual[left] = v[left], res[left]
 
-    _, d, weight = _apply(final, *args, out=(nv, *scratch))
-    d = d[:, 0]
-    rows.d_coeff[idx], rows.phi_prime_lambda[idx] = d, d * weight[:, -1]
+    _, d, weight = _apply(kernel(final), *args, out=(kernel(nv), *scratch))
+    d = d.reshape(k)
+    rows.d_coeff[idx], rows.phi_prime_lambda[idx] = d, d * weight[..., -1]
     rows.iterations[idx], rows.residual[idx] = iterations, residual
     if rows.profiles is not None:
         for i, profile in zip(idx.tolist(), final):

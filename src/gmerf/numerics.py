@@ -208,7 +208,10 @@ def _cumint(v: np.ndarray, h, out: np.ndarray | None = None, work=None) -> np.nd
     """Array form of `cumulative_integral` along the last axis of v, returned in out.
 
     The step h is a scalar or a column with one step per row (shape (..., 1)).
-    Buffers, all optional (a missing one is allocated):
+    A 1-D row takes a scalar step, best a Python float, and closes node 1's
+    panel in float arithmetic: the same operations as for rows, without six
+    numpy calls on one-element slices. Buffers, all optional (a missing one
+    is allocated):
 
     - out has v's shape; every entry of it is written.
     - work is the (pairs, panels, fives) triple `_cumint_work(v.shape)` makes;
@@ -235,9 +238,15 @@ def _cumint(v: np.ndarray, h, out: np.ndarray | None = None, work=None) -> np.nd
 
     # Odd node i closes the panel (i-2, i-1, i); node 1 uses (0, 1, 2).
     h12 = h / 12.0
-    a, b, c = v[..., 0:1], v[..., 1:2], v[..., 2:3]
-    first = np.multiply(h12, 5.0 * a + 8.0 * b - c, out=out[..., 1:2])
-    _floor_panels(first, a, b, c)
+    if v.ndim == 1:
+        a, b, c = float(v[0]), float(v[1]), float(v[2])
+        first = h12 * (5.0 * a + 8.0 * b - c)
+        # `_floor_panels` on floats; a nan sample fails its >= test there too.
+        out[1] = 0.0 if first < 0.0 and a >= 0.0 and b >= 0.0 and c >= 0.0 else first
+    else:
+        a, b, c = v[..., 0:1], v[..., 1:2], v[..., 2:3]
+        first = np.multiply(h12, 5.0 * a + 8.0 * b - c, out=out[..., 1:2])
+        _floor_panels(first, a, b, c)
     if n > 3:
         a, b, c = v[..., 1 : n - 2 : 2], v[..., 2 : n - 1 : 2], v[..., 3:n:2]
         np.multiply(b, 8.0, out=panel)  # 8b - a is -a + 8b, bit for bit
@@ -386,12 +395,15 @@ def _brent(f: Callable[[float], float], bracket: RootBracket) -> tuple[float, bo
             return xcur, True
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf  # brentq.c's division by 0 gives inf or nan: both bisect
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
                 spre, scur = scur, stry
             else:

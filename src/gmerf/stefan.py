@@ -368,15 +368,17 @@ def phi_prime_bounds(beta: float, gamma: float, lam: float) -> tuple[float, floa
 
     lower = gamma/(1+beta) e^{-lam^2} / (1 + gamma sqrt(1+beta) (sqrt(pi)/2)
     erf(lam/sqrt(1+beta))) is a true lower bound for every lam, with equality
-    at beta = 0. upper = gamma/(1+beta) e^{-lam/(1+beta)} is guaranteed for
-    lam >= 1 (the derivation gives exponent -lam^2/(1+beta); the quoted form
-    is weaker there and can fail for small lam). Both tend to gamma/(1+beta)
-    as lam -> 0. `solve_lambda` starts its bracket from the same lower bound
-    and a tighter upper one that holds for every lam.
+    at beta = 0. upper is the larger of gamma/(1+beta) e^{-lam/(1+beta)},
+    which alone holds only for lam >= 1, and gamma e^{-lam^2/(1+beta)} /
+    ((1+beta) + gamma (sqrt(pi)/2) erf(lam)), which holds for every lam and
+    equals lower at beta = 0; so upper holds for every lam. Both tend to
+    gamma/(1+beta) as lam -> 0. `solve_lambda` starts its bracket from the
+    lower bound and the second form of the upper one.
     """
     _require("beta", beta, positive=False)
     _require("gamma", gamma)
     _require("lam", lam)
     lower = math.exp(_log_phi_prime_lower(beta, gamma, lam))
-    upper = gamma / (1.0 + beta) * math.exp(-lam / (1.0 + beta))
+    closed_form = gamma / (1.0 + beta) * math.exp(-lam / (1.0 + beta))
+    upper = max(closed_form, math.exp(_log_phi_prime_upper(beta, gamma, lam)))
     return lower, upper

@@ -202,15 +202,17 @@ def _apply_ref(v, nodes, step, beta, inv_gamma):
 
 def _kernel_rows(rng, n):
     # Seeded rows of mixed sign, rows of non-negative samples whose first or
-    # tail closing panels come out negative (and are floored), and a smooth
-    # decaying tail.
+    # tail closing panels come out negative (and are floored), a smooth
+    # decaying tail, and a negative first panel over a negative sample (kept).
     rows = [rng.standard_normal(n), rng.uniform(0.0, 1.0, n), np.exp(-np.linspace(0.0, 40.0, n))]
     first = np.zeros(n)
     first[2:] = 1.0  # 5a + 8b - c < 0 on the first panel
     tail = np.zeros(n)
     tail[1::4] = 1.0  # -a + 8b + 5c < 0 on the panels closing two nodes later
     spiky = rng.uniform(0.0, 1.0, n) * (rng.uniform(0.0, 1.0, n) < 0.3)
-    return np.stack(rows + [first, tail, spiky])
+    kept = first.copy()
+    kept[1] = -1e-3  # 5a + 8b - c < 0 with b < 0
+    return np.stack(rows + [first, tail, spiky, kept])
 
 
 def _stale(work):
@@ -229,25 +231,36 @@ class TestKernelBitIdentity:
         steps = rng.uniform(1e-3, 2.0, (v.shape[0], 1))
         for h in (0.0125, 1.7, steps):
             assert _cumint(v, h).tobytes() == _cumint_ref(v, h).tobytes()
-        for row in v:
-            assert _cumint(row, 0.3).tobytes() == _cumint_ref(row, 0.3).tobytes()
+        # A 1-D row closes node 1's panel in float arithmetic, also at its row's
+        # own step and at a subnormal one.
+        batch = _cumint(v, steps)
+        for row, step, want in zip(v, steps[:, 0].tolist(), batch):
+            assert _cumint(row, step).tobytes() == want.tobytes()
+            for h in (0.3, 5e-320):
+                assert _cumint(row, h).tobytes() == _cumint_ref(row, h).tobytes()
 
     def test_rows_exercise_both_floors(self):
-        # Row 3 floors its first closing panel, row 4 the tail panel at node 3.
+        # Row 3 floors its first closing panel, row 4 the tail panel at node 3;
+        # row 6 keeps its negative first panel, over a negative sample. As
+        # 1-D rows, rows 3 and 6 take the float path of the first panel.
         v = _kernel_rows(np.random.default_rng(0), 9)
         out = _cumint_ref(v, 0.1)
         assert 5.0 * v[3, 0] + 8.0 * v[3, 1] - v[3, 2] < 0.0 and out[3, 1] == 0.0
         assert -v[4, 1] + 8.0 * v[4, 2] + 5.0 * v[4, 3] < 0.0 and out[4, 3] == out[4, 2]
+        assert 5.0 * v[6, 0] + 8.0 * v[6, 1] - v[6, 2] < 0.0 and out[6, 1] < 0.0
+        assert _cumint(v[3], 0.1)[1] == 0.0 and _cumint(v[6], 0.1)[1] == out[6, 1]
 
     @pytest.mark.parametrize("n", NS)
     def test_apply_matches_the_expression_form(self, n):
+        # Row 5's step is subnormal. Each row runs again as 1-D arrays with
+        # float parameters, as a lone solve passes them.
         rng = np.random.default_rng(200 + n)
-        k = 5
-        lams = np.array([[0.05], [0.7], [1.0], [2.5], [6.0]])
+        k = 6
+        lams = np.array([[0.05], [0.7], [1.0], [2.5], [6.0], [1e-310]])
         nodes = np.stack([np.linspace(0.0, lam, n) for lam in lams[:, 0]])
         steps = lams / (n - 1)
-        betas = np.array([[0.0], [0.1], [0.3], [1.5], [0.02]])
-        inv_gammas = np.array([[1.0], [0.0], [0.1], [10.0], [0.0]])  # zeros are gamma = inf
+        betas = np.array([[0.0], [0.1], [0.3], [1.5], [0.02], [0.2]])
+        inv_gammas = np.array([[1.0], [0.0], [0.1], [10.0], [0.0], [0.5]])  # zeros are gamma = inf
         v = np.sort(rng.uniform(0.0, 1.0, (k, n)), axis=-1)
         v[:, -1] = 1.0
         for got, want in zip(_apply(v, nodes, steps, betas, inv_gammas), _apply_ref(v, nodes, steps, betas, inv_gammas)):
@@ -612,7 +625,7 @@ class TestSolveRows:
 
     @pytest.mark.parametrize("max_iter", [20000, 5])
     @pytest.mark.parametrize("allow_unproven", [False, True])
-    @pytest.mark.parametrize("chunk_rows", [None, 3])
+    @pytest.mark.parametrize("chunk_rows", [None, 3, 1])
     def test_matches_lone_solves(self, monkeypatch, max_iter, allow_unproven, chunk_rows):
         config = SolverConfig(grid_n=101)
         monkeypatch.setattr(fixed_point, "_FP_MAX_ITER", max_iter)
@@ -661,6 +674,8 @@ class TestSolveRows:
             values, d, slope, iterations, residual = lone_picard(GMEParams(*point), config)
             fields = (rows.profiles[i].tobytes(), rows.d_coeff[i], rows.phi_prime_lambda[i], rows.iterations[i], rows.residual[i])
             assert fields == (values.tobytes(), d, slope, iterations, residual)
+            lone = solve_gme(GMEParams(*point), config)  # a one-row chunk
+            assert fields == (lone.phi.values.tobytes(), lone.d_coeff, lone.phi_prime_lambda, lone.iterations, lone.residual)
 
     def test_retired_rows_iterate_on_with_their_chunk(self, monkeypatch):
         # Rows that retire early stay in every step of their chunk, which
@@ -696,25 +711,36 @@ class TestSolveRows:
     def test_chunk_buffers_are_carved_from_one_block(self, monkeypatch):
         # The image, psi, weight, quadrature scratch and final profiles of a
         # chunk are views of one allocation, which the allocator then keeps
-        # for the next chunk; the nodes and the seed are not.
-        calls, apply = [], fixed_point._apply
+        # for the next chunk; the nodes and the seed are not. The second
+        # chunk holds one row, whose kernels get 1-D views of the same arrays.
+        calls, seeds, apply, seed = [], [], fixed_point._apply, fixed_point._seed
 
         def spy(v, nodes, *args, out=None):
             calls.append((v, nodes, out))
             return apply(v, nodes, *args, out=out)
 
+        def seed_spy(*args):
+            seeds.append(seed(*args))
+            return seeds[-1]
+
         monkeypatch.setattr(fixed_point, "_apply", spy)
+        monkeypatch.setattr(fixed_point, "_seed", seed_spy)
         monkeypatch.setattr(fixed_point, "_CHUNK_ELEMENTS", 3 * 101)
         _solve_rows(self.POINTS[:6], SolverConfig(grid_n=101))
-        blocks = set()
+        assert len(seeds) == 2 and all(s.base is None for s in seeds)
+        blocks, ndims = set(), set()
         for v, nodes, (tv, psi, weight, work) in calls:
             block = psi.base
-            assert block is not None and block.ndim == 1
+            assert block is not None and block.ndim == 1 and block.base is None
             assert all(a.base is block for a in (weight, *work))
-            assert all(a.base is block or a.base is None for a in (v, tv))  # the block's image or the seed
+            # the block's image, or the seed or its row
+            assert all(a.base is block or any(a is s or a.base is s for s in seeds) for a in (v, tv))
+            assert not any(np.shares_memory(s, block) for s in seeds)
             assert nodes.base is not block
             blocks.add(id(block))
+            ndims.add(v.ndim)
         assert len(blocks) == 2  # one per chunk
+        assert ndims == {1, 2}
         final, _, (image, psi, _, _) = calls[-1]
         assert final.base is psi.base and not np.shares_memory(final, image)
 

@@ -326,6 +326,22 @@ class TestFindRoot:
 
         assert find_root(f, bracket) == 0.5
 
+    def test_bisects_where_a_step_divides_by_zero(self):
+        # Beyond x = 0.96, exp(-800 x^2) underflows and f is the constant
+        # -1e-300: two equal values zero the extrapolation's divisor, where
+        # brentq.c gets inf or nan and bisects. With the same tolerances it
+        # evaluates 33 iterates here.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.exp(-800.0 * x * x) - 1e-300
+
+        bracket = RootBracket.from_function(f, 0.0, 1.0)
+        root = find_root(f, bracket)
+        assert abs(root - math.sqrt(300.0 * math.log(10.0) / 800.0)) < ROOT_TOL
+        assert len(calls) == 2 + 33
+
     def test_nan_function_value_raises(self):
         br = RootBracket(0.0, 1.0, -1.0, 1.0)
         with pytest.raises(ValueError, match="nan"):

@@ -121,10 +121,13 @@ class TestBoundarySlopeRatio:
 
 class TestSolveLambda:
     def test_balance_holds_at_root(self):
-        beta, gamma, ste = 0.2, 1.0, 1.0
-        lam = solve_lambda(beta, gamma, ste)
-        rhs = 2.0 / ((1.0 + beta) * ste)
-        assert abs(boundary_slope_ratio(lam, beta, gamma) - rhs) < BALANCE_TOL * rhs
+        # At Ste = 1e300, phi'(lam) underflows to 0 above the root, where the
+        # balance is the constant -rhs: a Brent step there divides by zero
+        # and bisects; the root is near 27.47.
+        for beta, gamma, ste, config in ((0.2, 1.0, 1.0, DEFAULT_CONFIG), (0.1, 1.0, 1e300, SolverConfig(grid_n=201))):
+            lam = solve_lambda(beta, gamma, ste, config)
+            rhs = 2.0 / ((1.0 + beta) * ste)
+            assert abs(boundary_slope_ratio(lam, beta, gamma, config) - rhs) < BALANCE_TOL * rhs
 
     def test_matches_independent_bisection(self):
         beta, gamma, ste = 0.1, 0.5, 2.0
@@ -338,12 +341,20 @@ class TestPrescribedValueLimit:
 
 class TestDerivativeBounds:
     def test_sandwich_on_positive_slope_case(self):
-        gamma, lam = 1.0, 2.0
-        beta = 0.5 * contraction_threshold(gamma)
-        sol = solve_gme(GMEParams(beta, gamma, lam))
-        lo, hi = phi_prime_bounds(beta, gamma, lam)
-        assert lo < sol.phi_prime_lambda < hi
-        assert sol.phi_prime_lambda <= gamma / (1.0 + beta)
+        # beta at 0.2, 0.5 and 0.9 of the threshold. gamma/(1+beta)
+        # e^{-lam/(1+beta)} alone falls below the solved slope at small lam,
+        # as at (0.25, 0.886, 0.1); the upper value holds at every lam.
+        for frac in (0.2, 0.5, 0.9):
+            for gamma in (0.1, 0.886, 1.0, 3.0, 10.0):
+                beta = frac * contraction_threshold(gamma)
+                for lam in (0.02, 0.05, 0.1, 0.3, 1.0, 2.0):
+                    slope = solve_gme(GMEParams(beta, gamma, lam)).phi_prime_lambda
+                    lo, hi = phi_prime_bounds(beta, gamma, lam)
+                    assert lo < slope < hi, (beta, gamma, lam)
+                    assert slope <= gamma / (1.0 + beta)
+        assert phi_prime_bounds(0.25, 0.886, 0.1)[1] > solve_gme(GMEParams(0.25, 0.886, 0.1)).phi_prime_lambda
+        # Where the closed form holds, it is the upper value.
+        assert phi_prime_bounds(0.2, 1.5, 2.0)[1] == 1.5 / 1.2 * math.exp(-2.0 / 1.2)
 
     def test_lower_bound_is_exact_for_constant_conductivity(self):
         for gamma, lam in [(0.1, 1.0), (1.0, 2.0), (10.0, 1.0)]:
