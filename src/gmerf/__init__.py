@@ -15,6 +15,10 @@ temperature field. See the individual modules:
 - ``stefan``: physical parameters, front coefficient, temperature field,
   prescribed-value (large-gamma) limit.
 - ``cli``: ``gmerf`` command-line front end.
+
+The package exports what the demos, the README examples and the CLI use; the
+quadrature, the root finders and the GridFunction-level operator map stay in
+``numerics`` and ``fixed_point``.
 """
 
 from .approx import (
@@ -39,19 +43,10 @@ from .fixed_point import (
     contraction_factor,
     contraction_threshold,
     dirichlet_contraction_threshold,
-    fixed_point_map,
     lipschitz_bound,
-    normalizing_coefficient,
     solve_gme,
 )
-from .numerics import (
-    GridFunction,
-    RootBracket,
-    bracket_root,
-    cumulative_integral,
-    erf,
-    find_root,
-)
+from .numerics import GridFunction, erf
 from .stefan import (
     PhysicalParams,
     boundary_slope_ratio,
@@ -78,25 +73,19 @@ __all__ = [
     "GmerfError",
     "GridFunction",
     "PhysicalParams",
-    "RootBracket",
     "RootConvergenceError",
     "SolverConfig",
     "approx_coeffs",
     "approx_error",
     "boundary_slope_ratio",
-    "bracket_root",
     "contraction_factor",
     "contraction_threshold",
-    "cumulative_integral",
     "dirichlet_contraction_threshold",
     "dirichlet_gap",
     "erf",
-    "find_root",
     "first_order",
-    "fixed_point_map",
     "front_position",
     "lipschitz_bound",
-    "normalizing_coefficient",
     "phi_prime_bounds",
     "solve_dirichlet",
     "solve_gme",

@@ -348,6 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--spec", required=True, help="JSON spec file with lists beta, gamma, lambda")
+    # Kept because the benchmark's cli_sweep workload passes it.
     p.add_argument("--jobs", type=int, default=None, help="accepted for compatibility, >= 1; no effect (all points are solved as one batch)")
     _add_grid_out(p)
     p.set_defaults(func=_cmd_sweep)

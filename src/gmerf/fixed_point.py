@@ -56,14 +56,14 @@ from .numerics import (
     erf,
     find_root,
 )
-# Unused here; kept bound because perfbench/tracing.py wraps it at this attribute.
+# Unused here; bound because the benchmark's tracer wraps it at this attribute,
+# as it wraps `fixed_point_map` below, to count quadrature and operator calls.
 from .numerics import cumulative_integral  # noqa: F401
 
 __all__ = [
     "SolverConfig",
     "GMEParams",
     "GMESolution",
-    "normalizing_coefficient",
     "fixed_point_map",
     "contraction_factor",
     "contraction_threshold",
@@ -135,11 +135,6 @@ class GMEParams:
         _require_gamma(self.gamma)
         _require("lam", self.lam)
 
-    @property
-    def dirichlet(self) -> bool:
-        """True for the prescribed-value (gamma = inf) variant."""
-        return math.isinf(self.gamma)
-
 
 def _require_gamma(gamma: float) -> None:
     """ValueError unless gamma is > 0, finite or inf: the profile problem's gamma rule."""
@@ -198,37 +193,25 @@ def _apply(v: np.ndarray, nodes: np.ndarray, step, beta, inv_gamma, out=None) ->
     return tv, d, weight
 
 
-def _apply_checked(h: GridFunction, params: GMEParams, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    _require_unit_band(h, what)
-    _require_same_interval(h, params)
-    return _apply(h.values, h.nodes, h.step, params.beta, 1.0 / params.gamma)
-
-
-def normalizing_coefficient(h: GridFunction, params: GMEParams) -> float:
-    """Coefficient D_h = 1 / (1/gamma + int_0^lam E_h) that pins (T h)(lam) = 1.
-
-    Always in (0, gamma]; tends to gamma as lam -> 0.
-    """
-    return _apply_checked(h, params, "profile")[1][0]
-
-
 def fixed_point_map(h: GridFunction, params: GMEParams) -> GridFunction:
     """One application of the integral operator T to a unit-band profile.
 
     The image is non-decreasing, starts at D_h / gamma (0 in the
     prescribed-value variant) and ends at exactly 1.
     """
-    return GridFunction(h.lam, _apply_checked(h, params, "operator input")[0])
+    _require_unit_band(h, "operator input")
+    _require_same_interval(h, params)
+    return GridFunction(h.lam, _apply(h.values, h.nodes, h.step, params.beta, 1.0 / params.gamma)[0])
 
 
-def contraction_factor(x, gamma: float):
-    """Contraction bound g(x) = (sqrt(pi)/2) gamma x sqrt(1+x) (3+x) of the map on K."""
+def contraction_factor(x: float, gamma: float) -> float:
+    """Contraction bound g(x) = (sqrt(pi)/2) gamma x sqrt(1+x) (3+x) of the map on K.
+
+    x is a float; a huge x gives inf.
+    """
     _require("gamma", gamma)
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & np.isfinite(x)):
-        raise ValueError("contraction factor is defined for finite x >= 0")
-    out = 0.5 * SQRT_PI * gamma * x * np.sqrt(1.0 + x) * (3.0 + x)
-    return float(out) if out.ndim == 0 else out
+    _require("x", x, positive=False)
+    return 0.5 * SQRT_PI * gamma * x * math.sqrt(1.0 + x) * (3.0 + x)
 
 
 def _scaled_root(gap, scale: float) -> float:
@@ -237,7 +220,8 @@ def _scaled_root(gap, scale: float) -> float:
     Searched in units of scale/1024, where the root is 512 to 1024 units, so
     `find_root`'s 4 eps relative step outweighs its absolute 1e-12: the root
     is found to a relative 1e-13 or better, and never above scale when
-    gap(1) >= 0.
+    gap(1) >= 0. The bracket is grown without a cap: gap(1) may round to
+    just below 0, and the bracket must then slide past 1024.
     """
 
     def scaled(s: float) -> float:
@@ -288,15 +272,18 @@ def lipschitz_bound(b: float, gamma: float) -> float:
     """Uniform slope sensitivity: sup |phi_b1 - phi_b2| <= L |b1 - b2| for
     b1, b2 in [0, b], with L = 1 / (threshold * (1 - g(b))).
 
-    Defined for 0 <= b strictly below the contraction threshold.
+    Defined for 0 <= b strictly below the contraction threshold where g(b)
+    rounds below 1: the threshold is a rounded root, so, as in `_certified`,
+    the inequality settles a refusal.
     """
     _require("b", b, positive=False)
     threshold = contraction_threshold(gamma)
-    if b >= threshold:
+    g = contraction_factor(b, gamma)
+    if b >= threshold or g >= 1.0:
         raise ContractionError(
             f"slope bound b={b:g} is not below the contraction threshold {threshold:.6g}"
         )
-    return 1.0 / (threshold * (1.0 - contraction_factor(b, gamma)))
+    return 1.0 / (threshold * (1.0 - g))
 
 
 # The post-conditions of a solved profile, as the messages that name their

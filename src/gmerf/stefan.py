@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BracketError
+from .errors import BracketError, ContractionError
 from .fixed_point import (
     DEFAULT_CONFIG,
     GMEParams,
@@ -137,6 +137,7 @@ class PhysicalParams:
 @lru_cache(maxsize=256)
 def _solved(beta: float, gamma: float, lam: float, config: SolverConfig) -> GMESolution:
     # Process-wide cache of converged profiles; key is (beta, gamma, lam, config).
+    # Kept while the benchmark's stefan.cache_hit_ratio metric reads its hits.
     return solve_gme(GMEParams(beta=beta, gamma=gamma, lam=lam), config)
 
 
@@ -172,7 +173,8 @@ def solve_lambda(
     high end doubles up to lam = 50 while it is positive. So a coarse grid
     whose discrete root lies outside the bounds still gets that root. A
     coarse scan afterwards looks for further sign changes and warns if any
-    appear; the smallest bracketed root is returned.
+    appear, skipping points whose slope it cannot certify; the smallest
+    bracketed root is returned.
 
     Raises
     ------
@@ -248,7 +250,8 @@ _SCAN_CONFIG = SolverConfig(grid_n=201, fp_tol=1e-8)
 
 def _warn_on_extra_roots(root: float, *, balance_rhs: float, beta: float, gamma: float) -> None:
     # Coarse reduced-resolution scan on both sides of the root; a sign
-    # inconsistent with a single downward crossing flags multiplicity.
+    # inconsistent with a single downward crossing flags multiplicity. Its 13
+    # profile solves are also what the benchmark's stefan.aux_solve_share counts.
     margin = 4e-9 * max(1.0, root)
     below = np.geomspace(max(root / 64.0, _LAM_FLOOR), root, 7)[:-1]
     above = np.geomspace(root, _LAM_CAP, 8)[1:]
@@ -256,7 +259,15 @@ def _warn_on_extra_roots(root: float, *, balance_rhs: float, beta: float, gamma:
         # -1 below the root, +1 above it, 0 within the margin; the balance
         # must be positive below and negative above.
         side = int(lam > root + margin) - int(lam < root - margin)
-        if side and side * (boundary_slope_ratio(lam, beta, gamma, _SCAN_CONFIG) - balance_rhs) > 0.0:
+        if not side:
+            continue
+        try:
+            ratio = boundary_slope_ratio(lam, beta, gamma, _SCAN_CONFIG)
+        except ContractionError:
+            # At gamma = inf the certified slope range shrinks with lam, so a
+            # point below a solvable root may lie outside it: it is skipped.
+            continue
+        if side * (ratio - balance_rhs) > 0.0:
             warnings.warn(
                 f"front balance changes sign again near lam={lam:.3g}; "
                 f"smallest root {root:.6g} returned",

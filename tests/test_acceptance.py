@@ -25,7 +25,6 @@ from gmerf import (
     contraction_factor,
     contraction_threshold,
     dirichlet_gap,
-    fixed_point_map,
     front_position,
     lipschitz_bound,
     phi_prime_bounds,
@@ -35,6 +34,7 @@ from gmerf import (
     solve_stefan,
     temperature,
 )
+from gmerf.fixed_point import fixed_point_map
 from gmerf.numerics import GridFunction, erf
 from oracles import shoot_bvp
 

@@ -26,7 +26,6 @@ from gmerf.fixed_point import (
     dirichlet_contraction_threshold,
     fixed_point_map,
     lipschitz_bound,
-    normalizing_coefficient,
     solve_gme,
 )
 from gmerf.numerics import GridFunction, _cumint, _cumint_work, _uniform_nodes, erf
@@ -66,8 +65,7 @@ class TestSolverConfig:
 class TestGMEParams:
     def test_accepts_infinite_gamma_as_prescribed_value_variant(self):
         p = GMEParams(beta=0.1, gamma=math.inf, lam=2.0)
-        assert p.dirichlet
-        assert not GMEParams(beta=0.1, gamma=5.0, lam=2.0).dirichlet
+        assert p.gamma == math.inf
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -87,22 +85,6 @@ class TestGMEParams:
 
 
 class TestOperatorPieces:
-    def test_normalizing_coefficient_constant_conductivity(self):
-        # with psi = 1 the weight is exp(-x^2), so the coefficient reduces to
-        # 2 gamma / (2 + gamma sqrt(pi) erf(lam))
-        gamma, lam = 2.5, 1.5
-        params = GMEParams(0.0, gamma, lam)
-        h = GridFunction(lam, np.linspace(0.3, 1.0, 801))
-        d = normalizing_coefficient(h, params)
-        nu = 2.0 + gamma * SQRT_PI * math.erf(lam)
-        assert d == pytest.approx(2.0 * gamma / nu, abs=1e-10)
-
-    def test_normalizing_coefficient_bounds(self):
-        params = GMEParams(0.2, 3.0, 2.0)
-        h = GridFunction(2.0, np.linspace(0.1, 1.0, 501))
-        d = normalizing_coefficient(h, params)
-        assert 0.0 < d <= params.gamma
-
     def test_map_pins_endpoint_and_stays_in_band(self):
         params = GMEParams(0.2, 1.0, 2.0)
         h = GridFunction(2.0, np.linspace(0.0, 1.0, 501))
@@ -115,7 +97,7 @@ class TestOperatorPieces:
         params = GMEParams(0.3, 2.0, 1.5)
         h = GridFunction(1.5, np.linspace(0.2, 1.0, 401))
         out = fixed_point_map(h, params)
-        d = normalizing_coefficient(h, params)
+        d = _apply(h.values, h.nodes, h.step, params.beta, 1.0 / params.gamma)[1][0]
         assert out.values[0] == pytest.approx(d / params.gamma, rel=1e-12)
 
     def test_constant_conductivity_map_lands_on_closed_form_from_any_seed(self):
@@ -323,10 +305,14 @@ class TestContraction:
         assert contraction_factor(1.0, 0.5) == pytest.approx(math.sqrt(2.0 * math.pi))
 
     def test_factor_is_increasing_and_vanishes_at_zero(self):
-        xs = np.linspace(0.0, 2.0, 50)
-        g = contraction_factor(xs, 1.3)
+        g = [contraction_factor(x, 1.3) for x in np.linspace(0.0, 2.0, 50).tolist()]
         assert g[0] == 0.0
         assert np.all(np.diff(g) > 0)
+
+    def test_factor_overflows_to_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert contraction_factor(1e300, 3e7) == math.inf
 
     def test_factor_rejects_infinite_gamma(self):
         with pytest.raises(ValueError):
@@ -422,6 +408,10 @@ class TestContraction:
         assert lipschitz_bound(b, gamma) == pytest.approx(expected, rel=1e-12)
         with pytest.raises(ContractionError):
             lipschitz_bound(b1, gamma)
+        # Just below the rounded threshold g(b) may round to 1 or above.
+        for gamma in (1.0568175092136584e-06, 2.818382931264455e-06):
+            with pytest.raises(ContractionError):
+                lipschitz_bound(math.nextafter(contraction_threshold(gamma), 0.0), gamma)
 
     def test_lipschitz_bound_at_huge_gamma(self):
         # The threshold at gamma = 1e13 is about 3.76e-14, not 0.

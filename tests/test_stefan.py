@@ -216,12 +216,14 @@ class TestSolveLambda:
                 b = mid
         assert lam == pytest.approx(0.5 * (a + b), abs=1e-12)
 
-    def test_prescribed_value_front_probes_near_its_root(self):
+    @pytest.mark.parametrize("beta, expected", [(0.001, 0.62024), (0.01, 0.62179)])
+    def test_prescribed_value_front_probes_near_its_root(self, beta, expected):
         # At gamma = inf the certified slope range grows with lam; the search
-        # solves profiles only near lam*, where beta = 0.001 is certified.
-        beta, ste = 0.001, 1.0
+        # solves profiles only near lam*, where beta is certified. The
+        # multiplicity scan skips its points below lam* that beta = 0.01 is not.
+        ste = 1.0
         lam = solve_lambda(beta, math.inf, ste)
-        assert lam == pytest.approx(0.62024, abs=1e-5)
+        assert lam == pytest.approx(expected, abs=1e-5)
         rhs = 2.0 / ((1.0 + beta) * ste)
         assert abs(boundary_slope_ratio(lam, beta, math.inf) - rhs) < BALANCE_TOL * rhs
 
