@@ -142,18 +142,6 @@ def _require_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must be positive (finite or inf), got {gamma}")
 
 
-def _require_unit_band(h: GridFunction, what: str) -> None:
-    lo = float(np.min(h.values))
-    hi = float(np.max(h.values))
-    if lo < -_BAND_TOL or hi > 1.0 + _BAND_TOL:
-        raise ValueError(f"{what} leaves the unit band [0, 1]: min={lo:g}, max={hi:g}")
-
-
-def _require_same_interval(h: GridFunction, params: GMEParams) -> None:
-    if abs(h.lam - params.lam) > 1e-12 * max(1.0, params.lam):
-        raise ValueError(f"grid endpoint {h.lam} does not match params.lam {params.lam}")
-
-
 def _apply(v: np.ndarray, nodes: np.ndarray, step, beta, inv_gamma, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The operator on rows of node values: (T v, D_v, E_v).
 
@@ -199,8 +187,11 @@ def fixed_point_map(h: GridFunction, params: GMEParams) -> GridFunction:
     The image is non-decreasing, starts at D_h / gamma (0 in the
     prescribed-value variant) and ends at exactly 1.
     """
-    _require_unit_band(h, "operator input")
-    _require_same_interval(h, params)
+    lo, hi = float(np.min(h.values)), float(np.max(h.values))
+    if lo < -_BAND_TOL or hi > 1.0 + _BAND_TOL:
+        raise ValueError(f"operator input leaves the unit band [0, 1]: min={lo:g}, max={hi:g}")
+    if abs(h.lam - params.lam) > 1e-12 * max(1.0, params.lam):
+        raise ValueError(f"grid endpoint {h.lam} does not match params.lam {params.lam}")
     return GridFunction(h.lam, _apply(h.values, h.nodes, h.step, params.beta, 1.0 / params.gamma)[0])
 
 
@@ -279,9 +270,14 @@ def lipschitz_bound(b: float, gamma: float) -> float:
     _require("b", b, positive=False)
     threshold = contraction_threshold(gamma)
     g = contraction_factor(b, gamma)
-    if b >= threshold or g >= 1.0:
+    if b >= threshold:
         raise ContractionError(
             f"slope bound b={b:g} is not below the contraction threshold {threshold:.6g}"
+        )
+    if g >= 1.0:
+        raise ContractionError(
+            f"g(b)={g:.17g} is not below 1 at slope bound b={b:.17g}, "
+            f"just below the contraction threshold {threshold:.17g}"
         )
     return 1.0 / (threshold * (1.0 - g))
 
@@ -368,10 +364,10 @@ def _certified(beta: float, gamma: float, lam: float, allow_unproven: bool) -> b
     # threshold is a rounded root, so the inequality itself settles a refusal.
     # The prescribed-value threshold is an uncached root search, made only
     # when the inequality fails: it also certifies slopes below the rounded
-    # root, and words the refusal. Each inequality is tested only where it
-    # can hold, so a huge slope cannot overflow it: beta _dirichlet_factor(beta)
-    # >= 3 beta fails erf(lam) < 1 from beta = 1/3, and g(x) / x increases,
-    # so g(2 threshold) > 2.
+    # root, and words the refusal. Its inequality is tested only where it can
+    # hold, so a huge slope cannot overflow the float power in
+    # `_dirichlet_factor`: beta _dirichlet_factor(beta) >= 3 beta fails
+    # erf(lam) < 1 from beta = 1/3.
     if math.isinf(gamma):
         if beta < 1.0 and beta * _dirichlet_factor(beta) < float(erf(lam)):
             return True
@@ -379,7 +375,7 @@ def _certified(beta: float, gamma: float, lam: float, allow_unproven: bool) -> b
         certified = beta < threshold
     else:
         threshold = contraction_threshold(gamma)
-        certified = beta < threshold or (beta < 2.0 * threshold and contraction_factor(beta, gamma) < 1.0)
+        certified = beta < threshold or contraction_factor(beta, gamma) < 1.0
     if not certified and not allow_unproven:
         raise ContractionError(
             f"beta={beta:g} is at or above the certified contraction "

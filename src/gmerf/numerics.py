@@ -312,10 +312,6 @@ class RootBracket:
                 f"f_lo={self.f_lo:g}, f_hi={self.f_hi:g}"
             )
 
-    @classmethod
-    def from_function(cls, f: Callable[[float], float], lo: float, hi: float) -> "RootBracket":
-        return cls(lo, hi, f(lo), f(hi))
-
 
 def bracket_root(f: Callable[[float], float], lo: float, hi: float, *, max_hi: float | None = None) -> RootBracket:
     """Slide and grow [lo, hi] upward until f changes sign across it.
@@ -338,6 +334,13 @@ def bracket_root(f: Callable[[float], float], lo: float, hi: float, *, max_hi: f
     raise BracketError(f"no sign change found growing the bracket up to hi={hi:g}")
 
 
+# Brent's stopping rule: a step below 1e-12 plus 4 eps relative, within 200
+# iterations.
+_ROOT_TOL = 1e-12
+_BRENT_RTOL = 4.0 * math.ulp(1.0)
+_BRENT_MAX_ITER = 200
+
+
 def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
     """Root of f inside the bracket, to absolute tolerance 1e-12 on the abscissa.
 
@@ -353,31 +356,13 @@ def find_root(f: Callable[[float], float], bracket: RootBracket) -> float:
     RootConvergenceError
         If 200 iterations pass first; the best estimate is attached.
     """
+    # Brent's method (Brent 1973, ch. 4), a line-by-line port of the common
+    # brentq.c with rtol = 4 eps; the bracket supplies both endpoint values
+    # and their sign change.
     if bracket.f_lo == 0.0:
         return bracket.lo
     if bracket.f_hi == 0.0:
         return bracket.hi
-    root, converged = _brent(f, bracket)
-    if not converged:
-        raise RootConvergenceError(
-            f"root finding stopped after {_BRENT_MAX_ITER} iterations "
-            f"(best estimate {root:.17g})",
-            best=root,
-        )
-    return root
-
-
-# Brent's stopping rule: a step below 1e-12 plus 4 eps relative, within 200
-# iterations.
-_ROOT_TOL = 1e-12
-_BRENT_RTOL = 4.0 * math.ulp(1.0)
-_BRENT_MAX_ITER = 200
-
-
-def _brent(f: Callable[[float], float], bracket: RootBracket) -> tuple[float, bool]:
-    # Brent's method (Brent 1973, ch. 4), a line-by-line port of the common
-    # brentq.c with rtol = 4 eps; the bracket supplies both endpoint values
-    # and their sign change. Returns the last iterate and whether it converged.
     xpre, xcur = float(bracket.lo), float(bracket.hi)
     fpre, fcur = float(bracket.f_lo), float(bracket.f_hi)
     xblk = fblk = spre = scur = 0.0
@@ -392,7 +377,7 @@ def _brent(f: Callable[[float], float], bracket: RootBracket) -> tuple[float, bo
         delta = (_ROOT_TOL + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, True
+            return xcur
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
@@ -419,4 +404,8 @@ def _brent(f: Callable[[float], float], bracket: RootBracket) -> tuple[float, bo
         fcur = float(f(xcur))
         if math.isnan(fcur):
             raise ValueError(f"the function value at x={xcur} is nan; root finding cannot continue")
-    return xcur, False
+    raise RootConvergenceError(
+        f"root finding stopped after {_BRENT_MAX_ITER} iterations (best estimate {xcur:.17g})",
+        best=xcur,
+    )
+

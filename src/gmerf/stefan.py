@@ -152,12 +152,7 @@ def boundary_slope_ratio(
     `GMEParams` of that profile rejects out-of-range arguments (ValueError).
     """
     sol = _solved(beta, gamma, lam, config)
-    return _slope_ratio(sol.phi_prime_lambda, sol.params.lam)
-
-
-def _slope_ratio(phi_prime_lambda, lam):
-    # The front-balance side phi'(lam) / lam, for scalars or arrays.
-    return phi_prime_lambda / lam
+    return sol.phi_prime_lambda / sol.params.lam
 
 
 def solve_lambda(
@@ -252,7 +247,9 @@ def _warn_on_extra_roots(root: float, *, balance_rhs: float, beta: float, gamma:
     # Coarse reduced-resolution scan on both sides of the root; a sign
     # inconsistent with a single downward crossing flags multiplicity. Its 13
     # profile solves are also what the benchmark's stefan.aux_solve_share counts.
-    margin = 4e-9 * max(1.0, root)
+    # The margin is relative, plus Brent's absolute step: a root below 1 keeps
+    # its lower scan points however small it is.
+    margin = 4e-9 * root + 1e-12
     below = np.geomspace(max(root / 64.0, _LAM_FLOOR), root, 7)[:-1]
     above = np.geomspace(root, _LAM_CAP, 8)[1:]
     for lam in (*below, *above):

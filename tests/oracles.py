@@ -80,7 +80,7 @@ def shoot_bvp(params: GMEParams, config: SolverConfig) -> GridFunction:
         p0 = gamma * a / (1.0 + beta * a)
         return _rk4_profile(a, p0, lam, n, beta)[1] - 1.0
 
-    a_star = find_root(mismatch, RootBracket.from_function(mismatch, 0.0, 1.0))
+    a_star = find_root(mismatch, RootBracket(0.0, 1.0, mismatch(0.0), mismatch(1.0)))
     p0 = gamma * a_star / (1.0 + beta * a_star)
     ys, _ = _rk4_profile(a_star, p0, lam, n, beta)
     return GridFunction(lam, ys)

@@ -410,7 +410,7 @@ class TestContraction:
             lipschitz_bound(b1, gamma)
         # Just below the rounded threshold g(b) may round to 1 or above.
         for gamma in (1.0568175092136584e-06, 2.818382931264455e-06):
-            with pytest.raises(ContractionError):
+            with pytest.raises(ContractionError, match=r"g\(b\)=\S+ is not below 1 at slope bound"):
                 lipschitz_bound(math.nextafter(contraction_threshold(gamma), 0.0), gamma)
 
     def test_lipschitz_bound_at_huge_gamma(self):

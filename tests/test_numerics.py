@@ -253,10 +253,6 @@ class TestRootBracket:
         br = RootBracket(0.0, 2.0, -1.0, 3.0)
         assert br.lo == 0.0 and br.hi == 2.0
 
-    def test_from_function(self):
-        br = RootBracket.from_function(lambda x: x - 1.0, 0.0, 2.0)
-        assert br.f_lo == -1.0 and br.f_hi == 1.0
-
     @pytest.mark.parametrize(
         "lo,hi,f_lo,f_hi",
         [
@@ -292,14 +288,14 @@ class TestBracketRoot:
 
 class TestFindRoot:
     def test_sqrt_two(self):
-        br = RootBracket.from_function(lambda x: x * x - 2.0, 1.0, 2.0)
-        root = find_root(lambda x: x * x - 2.0, br)
+        f = lambda x: x * x - 2.0
+        root = find_root(f, RootBracket(1.0, 2.0, f(1.0), f(2.0)))
         assert abs(root - 1.4142135623730951) < 1e-12
 
     def test_erf_inverse_point(self):
         # self-validated: the root must put the function value at 0
         f = lambda x: float(erf(x)) - 0.5
-        root = find_root(f, RootBracket.from_function(f, 0.0, 1.0))
+        root = find_root(f, RootBracket(0.0, 1.0, f(0.0), f(1.0)))
         assert abs(f(root)) < 1e-14
         assert abs(root - 0.4769362762044699) < 1e-12
 
@@ -337,8 +333,7 @@ class TestFindRoot:
             calls.append(x)
             return math.exp(-800.0 * x * x) - 1e-300
 
-        bracket = RootBracket.from_function(f, 0.0, 1.0)
-        root = find_root(f, bracket)
+        root = find_root(f, RootBracket(0.0, 1.0, f(0.0), f(1.0)))
         assert abs(root - math.sqrt(300.0 * math.log(10.0) / 800.0)) < ROOT_TOL
         assert len(calls) == 2 + 33
 
@@ -350,7 +345,7 @@ class TestFindRoot:
     def test_exhausted_iterations_reports_best(self, monkeypatch):
         monkeypatch.setattr(numerics, "_BRENT_MAX_ITER", 2)
         f = lambda x: x**3 - 2.0
-        br = RootBracket.from_function(f, 0.0, 2.0)
+        br = RootBracket(0.0, 2.0, f(0.0), f(2.0))
         with pytest.raises(RootConvergenceError, match="after 2 iterations") as excinfo:
             find_root(f, br)
         assert math.isfinite(excinfo.value.best)

@@ -227,11 +227,16 @@ class TestSolveLambda:
         rhs = 2.0 / ((1.0 + beta) * ste)
         assert abs(boundary_slope_ratio(lam, beta, math.inf) - rhs) < BALANCE_TOL * rhs
 
-    @pytest.mark.parametrize("window, beyond_root", [((0.03, 0.05), False), ((15.0, 20.0), True)])
-    def test_warns_on_spurious_sign_change(self, monkeypatch, window, beyond_root):
-        # H = 1/lam crosses rhs = 0.8 once, at lam = 1.25; inside the window
+    @pytest.mark.parametrize(
+        "ste, window, beyond_root",
+        [(2.5, (0.03, 0.05), False), (2.5, (15.0, 20.0), True), (2e-10, (2e-11, 4e-11), False)],
+    )
+    def test_warns_on_spurious_sign_change(self, monkeypatch, ste, window, beyond_root):
+        # H = 1/lam crosses rhs = 2/Ste once, at lam = Ste/2; inside the window
         # it jumps to the other side of rhs, a second sign change that the
-        # scan probes near 0.039 (below the root) or near 17.2 (above it).
+        # scan probes near 0.039 (below the root) or near 17.2 (above it) for
+        # Ste = 2.5. For Ste = 2e-10 the root is 1e-10, and the scan probes
+        # near 2.5e-11: a tiny root keeps the scan points below it.
         def ratio(lam, beta, gamma, config=DEFAULT_CONFIG):
             if window[0] < lam < window[1]:
                 return 1.0 if beyond_root else 0.5
@@ -239,8 +244,8 @@ class TestSolveLambda:
 
         monkeypatch.setattr("gmerf.stefan.boundary_slope_ratio", ratio)
         with pytest.warns(RuntimeWarning, match="changes sign again") as record:
-            root = solve_lambda(0.0, 1.0, 2.5)
-        assert root == pytest.approx(1.25, rel=1e-12)
+            root = solve_lambda(0.0, 1.0, ste)
+        assert root == pytest.approx(ste / 2.0, rel=1e-12)
         assert len(record) == 1
         assert record[0].filename == __file__
         near = float(str(record[0].message).split("near lam=")[1].split(";")[0])
