@@ -35,7 +35,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -50,6 +49,7 @@ from .numerics import (
     _cumint,
     _cumint_work,
     _cumint_work_size,
+    _erf_sorted,
     _require,
     _uniform_nodes,
     bracket_root,
@@ -150,10 +150,11 @@ def _apply(v: np.ndarray, nodes: np.ndarray, step, beta, inv_gamma, out=None) ->
     (..., 1). One problem runs fastest as 1-D rows with Python-float
     parameters, which no numpy call then broadcasts.
     E_v(x) = exp(-2 int_0^x s / Psi_v(s) ds) / Psi_v(x), Psi_v = 1 + beta v,
-    and D_v = 1 / (1/gamma + int_0^lam E_v), of shape (..., 1), so (1,) for
-    1-D rows. The image is clipped at 1 and pinned to 1 at lam. No checks:
-    each row must lie in the unit band, which T maps into itself. In-place
-    steps keep the arithmetic order of the formulas above.
+    and D_v = 1 / (1/gamma + int_0^lam E_v), of shape (..., 1), or a numpy
+    scalar for 1-D rows, which numpy multiplies by faster. The image is
+    clipped at 1 and pinned to 1 at lam. No checks: each row must lie in the
+    unit band, which T maps into itself. In-place steps keep the arithmetic
+    order of the formulas above.
 
     out, when given, is (tv, psi, weight, work): three arrays of v's shape
     and the `_cumint_work(v.shape)` scratch. T v is written to tv and E_v to
@@ -173,7 +174,7 @@ def _apply(v: np.ndarray, nodes: np.ndarray, step, beta, inv_gamma, out=None) ->
     np.exp(weight, out=weight)
     weight /= psi
     _cumint(weight, step, out=tv, work=work)
-    d = 1.0 / (inv_gamma + tv[..., -1:])
+    d = 1.0 / (inv_gamma + (tv[-1] if tv.ndim == 1 else tv[..., -1:]))
     tv += inv_gamma
     tv *= d
     np.minimum(tv, 1.0, out=tv)
@@ -292,24 +293,34 @@ _POST_CONDITIONS = (
 )
 
 
-def _faults(v: np.ndarray, d: np.ndarray, gamma) -> dict[int, str]:
-    """{row: message of the first post-condition it breaks} over k solved profiles.
+def _fault(v: np.ndarray, d: float, gamma: float) -> str | None:
+    """The message of the first post-condition a solved profile v (1-D) breaks, or None.
 
-    v holds one profile per row (k, n), d their normalizing coefficients
-    (k,), gamma a scalar or (k,). A profile must start at or above 0, be
-    non-decreasing and end at exactly 1, which keeps it in the unit band, and
-    0 < d <= gamma. A row holding nan is not non-decreasing.
+    A profile must start at or above 0, be non-decreasing (so hold no nan) and
+    end at exactly 1, which keeps it in the unit band; its normalizing
+    coefficient must have 0 < d <= gamma.
     """
-    breaches = (
-        v[:, 0] < 0.0,
-        ~np.logical_and.reduce(v[:, 1:] >= v[:, :-1], axis=-1),
-        v[:, -1] != 1.0,
-        ~((d > 0.0) & (d <= gamma * (1.0 + 1e-12))),
-    )
-    return {
-        j: next(message for message, breach in zip(_POST_CONDITIONS, breaches) if breach[j]).format(d=d[j])
-        for j in np.flatnonzero(functools.reduce(np.logical_or, breaches)).tolist()
-    }
+    breaches = (v[0] < 0.0, not (v[1:] >= v[:-1]).all(), v[-1] != 1.0, not 0.0 < d <= gamma * (1.0 + 1e-12))
+    return next((message.format(d=d) for message, breach in zip(_POST_CONDITIONS, breaches) if breach), None)
+
+
+def _faulty(v: np.ndarray, d: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    # `_fault`'s tests on the k rows of v (k, n): which break a post-condition.
+    ordered = np.logical_and.reduce(v[:, 1:] >= v[:, :-1], axis=-1)
+    return (v[:, 0] < 0.0) | ~ordered | (v[:, -1] != 1.0) | ~((d > 0.0) & (d <= gamma * (1.0 + 1e-12)))
+
+
+def _failure(fault: str | None, iterations: int, residual: float, fp_tol: float) -> FixedPointError | None:
+    # The FixedPointError of a solved row, or None: iterations is 0 at the cap,
+    # residual the last update, fault what `_fault` found in the final profile
+    # (a nan update leaves nan there). A breach is a solver outcome, not a bad
+    # input: it is worded as `GMESolution` words its ValueError.
+    if not iterations:
+        iterations = _FP_MAX_ITER
+        fault = f"Picard iteration did not reach tol={fp_tol:g} in {iterations} iterations (last update {residual:g})"
+    elif math.isnan(residual):
+        fault = f"Picard update is nan at iteration {iterations}: the operator overflows at these parameters"
+    return None if fault is None else FixedPointError(fault, residual=residual, iterations=iterations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,15 +357,16 @@ class GMESolution:
     contraction_certified: bool = True
 
     def __post_init__(self):
-        faults = _faults(self.phi.values[None], np.array([self.d_coeff]), self.params.gamma)
-        if faults:
-            raise ValueError(faults[0])
+        fault = _fault(self.phi.values, self.d_coeff, self.params.gamma)
+        if fault is not None:
+            raise ValueError(fault)
 
 
 def _seed(nodes: np.ndarray, gamma) -> np.ndarray:
     # The constant-conductivity (beta = 0) profile on rows of nodes, each
     # ending at its lam; the Picard seed for beta > 0, written over erf's output.
-    e = erf(nodes)
+    # A 1-D row's nodes are sorted and non-negative, so its erf runs on slices.
+    e = _erf_sorted(nodes) if nodes.ndim == 1 else erf(nodes)
     return _order0(e, e[..., -1:], gamma, out=e)
 
 
@@ -398,7 +410,8 @@ def solve_gme(
     `dirichlet_contraction_threshold` for the prescribed-value variant);
     pass ``allow_unproven=True`` to attempt larger slopes anyway, in which
     case a converged result is returned flagged
-    ``contraction_certified=False``.
+    ``contraction_certified=False``. It runs on 1-D arrays with float
+    parameters, with no batch bookkeeping, giving a batch row's bits.
 
     Raises
     ------
@@ -411,9 +424,15 @@ def solve_gme(
         (under-resolved grids, huge slopes under the override).
     """
     point = (params.beta, params.gamma, params.lam)
-    rows = _solve_rows([point], config, allow_unproven=allow_unproven, keep_profiles=True)
-    _raise_first(rows.errors)
-    return _solution(params, rows, 0)
+    certified = _certified(*point, allow_unproven)
+    with _float_errors([point]):
+        profile, d_coeff, phi_prime_lambda, iterations, residual = _solve_one(*point, config)
+    # The post-conditions are tested already: skip __post_init__.
+    sol = object.__new__(GMESolution)
+    sol.__dict__.update(params=params, phi=GridFunction(params.lam, profile), d_coeff=d_coeff,
+                        phi_prime_lambda=phi_prime_lambda, iterations=iterations, residual=residual,
+                        contraction_certified=certified)
+    return sol
 
 
 class _Rows(NamedTuple):
@@ -438,20 +457,14 @@ def _raise_first(errors: list) -> None:
             raise exc
 
 
-def _solution(params: GMEParams, rows: _Rows, i: int) -> GMESolution:
-    """Row i of a batch solved with its profiles kept, as the GMESolution of params,
-    without re-running the post-conditions its chunk tested."""
-    sol = object.__new__(GMESolution)
-    sol.__dict__.update(
-        params=params,
-        phi=GridFunction(params.lam, rows.profiles[i]),
-        d_coeff=rows.d_coeff[i],
-        phi_prime_lambda=rows.phi_prime_lambda[i],
-        iterations=int(rows.iterations[i]),
-        residual=float(rows.residual[i]),
-        contraction_certified=bool(rows.certified[i]),
-    )
-    return sol
+def _float_errors(points: list):
+    # The float-warning state a solve of valid (beta, gamma, lam) points runs in.
+    # 1/gamma or the normalizer 1/(1/gamma + int_0^lam E), int E >= min(lam, 1)/(e (1 + beta)),
+    # may overflow: the point's first update is then nan, which fails it. Such a solve runs
+    # with float warnings off; others keep numpy's default error state, which ufuncs read fastest.
+    if all(1e-290 < 1.0 / gamma + min(lam, 1.0) / (1.0 + beta) < math.inf for beta, gamma, lam in points):
+        return contextlib.nullcontext()
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
 def _solve_rows(
@@ -467,10 +480,10 @@ def _solve_rows(
     what ``solve_gme(GMEParams(*points[i]), config, allow_unproven=...)``
     returns, or in ``errors[i]`` the exception it raises. Only an invalid
     point goes through GMEParams, for its message. Points are iterated
-    together in chunks of at most `_CHUNK_ELEMENTS` node values. Each row's
-    result is taken at the step where its own update reaches fp_tol, and its
-    chunk runs until its last row does; the post-conditions run once per
-    chunk. The profiles are kept (``profiles``) only with keep_profiles.
+    together by `_solve_chunk` in chunks of at most `_CHUNK_ELEMENTS` node
+    values; a chunk of one row (the last one, or every one on a grid above
+    that budget) takes `_solve_one`, the path of a lone solve. The profiles
+    are kept (``profiles``) only with keep_profiles.
     """
     k = len(points)
     rows = _Rows(
@@ -482,7 +495,7 @@ def _solve_rows(
         errors=[None] * k,
         profiles=[None] * k if keep_profiles else None,
     )
-    todo, quiet = [], False
+    todo = []
     for i, (beta, gamma, lam) in enumerate(points):
         try:
             if not (0.0 <= beta < math.inf and gamma > 0.0 and 0.0 < lam < math.inf):
@@ -492,30 +505,66 @@ def _solve_rows(
             rows.errors[i] = exc
         else:
             todo.append(i)
-            # 1/gamma or the normalizer 1/(1/gamma + int_0^lam E), int E >= min(lam, 1)/(e (1 + beta)),
-            # may overflow: the row's first update is then nan, which fails it. Such a batch runs with
-            # float warnings off; others keep numpy's default error state, which ufuncs read fastest.
-            quiet = quiet or not 1e-290 < 1.0 / gamma + min(lam, 1.0) / (1.0 + beta) < math.inf
-    if todo:
-        idx = np.array(todo)
-        params = np.array([points[i] for i in todo], dtype=float)
-        step = max(1, _CHUNK_ELEMENTS // config.grid_n)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
-            for start in range(0, len(todo), step):
-                _solve_chunk(idx[start : start + step], params[start : start + step], config, rows)
+    step = max(1, _CHUNK_ELEMENTS // config.grid_n)
+    with _float_errors([points[i] for i in todo]):
+        for start in range(0, len(todo), step):
+            chunk = todo[start : start + step]
+            if len(chunk) > 1:
+                _solve_chunk(np.array(chunk), np.array([points[i] for i in chunk], dtype=float), config, rows)
+                continue
+            i = chunk[0]
+            try:
+                profile, *numbers = _solve_one(*points[i], config)
+            except FixedPointError as exc:
+                rows.errors[i] = exc
+                continue
+            rows.d_coeff[i], rows.phi_prime_lambda[i], rows.iterations[i], rows.residual[i] = numbers
+            if keep_profiles:
+                rows.profiles[i] = profile
     return rows
 
 
+def _solve_one(beta: float, gamma: float, lam: float, config: SolverConfig) -> tuple:
+    """Picard on one valid point: (profile, d_coeff, phi_prime_lambda, iterations, residual).
+
+    `_solve_chunk`'s seed, steps and stopping rule on one row, bit for bit, on
+    1-D arrays with float parameters, and no masks or index arrays to retire
+    rows; raises the FixedPointError `_solve_chunk` records for the point.
+    """
+    beta, gamma, lam = float(beta), float(gamma), float(lam)
+    n = config.grid_n
+    nodes = _uniform_nodes(lam, n)
+    args = (nodes, lam / (n - 1), beta, 1.0 / gamma)
+    # As in `_solve_chunk`: the block is made after the seed's temporaries are freed.
+    v = _seed(nodes, gamma)
+    block = np.empty(3 * n + _cumint_work_size(n))
+    nv, psi, weight = block[: 3 * n].reshape(3, n)
+    scratch = (psi, weight, _cumint_work((n,), block[3 * n :]))
+    for iterations in range(1, _FP_MAX_ITER + 1):
+        _apply(v, *args, out=(nv, *scratch))
+        residual = float(np.abs(np.subtract(v, nv, out=v), out=v).max())  # v is spent: reuse it
+        v, nv = nv, v
+        if not residual > config.fp_tol:  # a nan update is done too: no later step mends it
+            break
+    else:
+        iterations = 0
+    _, d, weight = _apply(v, *args, out=(nv, *scratch))
+    error = _failure(_fault(v, d, gamma), iterations, residual, config.fp_tol)
+    if error is not None:
+        raise error
+    return v, d, d * weight[-1], iterations, residual
+
+
 def _solve_chunk(idx: np.ndarray, params: np.ndarray, config: SolverConfig, rows: _Rows) -> None:
-    # Picard on one chunk: params holds a (beta, gamma, lam) row per point,
-    # whose results go to entry idx[j] of rows.
+    # Picard on a chunk of two or more rows: params holds a (beta, gamma, lam)
+    # row per point, whose results go to entry idx[j] of rows.
     n, k = config.grid_n, len(params)
     beta, gamma, lam = params[:, 0:1], params[:, 1:2], params[:, 2:3]
     nodes = _uniform_nodes(lam, n)
     args = (nodes, lam / (n - 1), beta, 1.0 / gamma)
 
     # T maps the unit band into itself, so the loop runs on bare arrays with
-    # no per-step checks; `_faults` tests the final profiles. Every row is
+    # no per-step checks; `_faulty` tests the final profiles. Every row is
     # iterated until the chunk's last row is done. No row's arithmetic reads
     # another's, so a row's values, iteration count and update are taken at
     # the first step whose update reaches fp_tol, and its later steps change
@@ -525,23 +574,15 @@ def _solve_chunk(idx: np.ndarray, params: np.ndarray, config: SolverConfig, rows
     # temporaries are freed: glibc's malloc returns the top of its heap to
     # the kernel only beyond twice the largest block it has freed, so later
     # chunks reuse this memory instead of faulting it in again page by page,
-    # and the peak stays that of separate arrays. The loop keeps (k, n)
-    # profiles and hands `_apply` kernel(array): for a lone row (k = 1) its
-    # 1-D view, with the parameters as Python floats, which runs the same
-    # operations with no column for numpy to broadcast in each call.
+    # and the peak stays that of separate arrays.
     v = _seed(nodes, gamma)
     block = np.empty(k * (4 * n + _cumint_work_size(n)))
     nv, psi, weight, final = block[: 4 * k * n].reshape(4, k, n)
-    if k == 1:
-        kernel = operator.itemgetter(0)
-        args = (nodes[0], *(a.item() for a in args[1:]))
-    else:
-        kernel = lambda a: a  # noqa: E731
-    scratch = (kernel(psi), kernel(weight), _cumint_work(kernel(psi).shape, block[4 * k * n :]))
+    scratch = (psi, weight, _cumint_work((k, n), block[4 * k * n :]))
     iterations = np.zeros(k, dtype=int)
     residual = np.empty(k)
     for it in range(1, _FP_MAX_ITER + 1):
-        _apply(kernel(v), *args, out=(kernel(nv), *scratch))
+        _apply(v, *args, out=(nv, *scratch))
         res = np.abs(np.subtract(v, nv, out=v), out=v).max(-1)  # v is spent: reuse it
         v, nv = nv, v
         keep = res > config.fp_tol  # a nan update is done too: no later step mends it
@@ -554,7 +595,7 @@ def _solve_chunk(idx: np.ndarray, params: np.ndarray, config: SolverConfig, rows
         left = iterations == 0
         final[left], residual[left] = v[left], res[left]
 
-    _, d, weight = _apply(kernel(final), *args, out=(kernel(nv), *scratch))
+    _, d, weight = _apply(final, *args, out=(nv, *scratch))
     d = d.reshape(k)
     rows.d_coeff[idx], rows.phi_prime_lambda[idx] = d, d * weight[..., -1]
     rows.iterations[idx], rows.residual[idx] = iterations, residual
@@ -562,24 +603,6 @@ def _solve_chunk(idx: np.ndarray, params: np.ndarray, config: SolverConfig, rows
         for i, profile in zip(idx.tolist(), final):
             rows.profiles[i] = profile
 
-    # A nan update leaves nan in its profile, which `_faults` flags.
-    faults = _faults(final, d, gamma[:, 0])
-    for j in faults.keys() | set(np.flatnonzero(iterations == 0).tolist()):
-        last = float(residual[j])
-        if not iterations[j]:
-            rows.errors[idx[j]] = FixedPointError(
-                f"Picard iteration did not reach tol={config.fp_tol:g} in "
-                f"{_FP_MAX_ITER} iterations (last update {last:g})",
-                residual=last,
-                iterations=_FP_MAX_ITER,
-            )
-        elif math.isnan(last):
-            rows.errors[idx[j]] = FixedPointError(
-                f"Picard update is nan at iteration {iterations[j]}: the operator "
-                f"overflows at these parameters",
-                residual=last,
-                iterations=int(iterations[j]),
-            )
-        else:
-            # A solver outcome, not a bad input: the text `GMESolution` gives its ValueError.
-            rows.errors[idx[j]] = FixedPointError(faults[j], residual=last, iterations=int(iterations[j]))
+    for j in np.flatnonzero(_faulty(final, d, gamma[:, 0]) | (iterations == 0)).tolist():
+        fault = _fault(final[j], d[j], gamma[j, 0])
+        rows.errors[idx[j]] = _failure(fault, int(iterations[j]), float(residual[j]), config.fp_tol)

@@ -88,10 +88,25 @@ def erf(x):
         return _erf_float(x)
     x = np.asarray(x, dtype=float)
     y = np.abs(x, out=np.empty(x.shape))
-    core = y <= 1.0
-    tail = (y > 1.0) & (y < _ERF_SATURATED)
-    ac, at = y[core], y[tail]
+    _erf_branches(y, y <= 1.0, (y > 1.0) & (y < _ERF_SATURATED))
     np.minimum(y, 1.0, out=y)  # 1 where saturated; nan stays nan
+    np.copysign(y, x, out=y)
+    return y[()] if y.ndim == 0 else y
+
+
+def _erf_sorted(x: np.ndarray) -> np.ndarray:
+    # `erf` of sorted non-negative floats (1-D), bit for bit, each branch on a slice.
+    core, tail = np.searchsorted(x, 1.0, side="right"), np.searchsorted(x, _ERF_SATURATED)
+    y = x.copy()
+    _erf_branches(y, slice(core), slice(core, tail))
+    y[tail:] = 1.0
+    return y
+
+
+def _erf_branches(y: np.ndarray, core, tail) -> None:
+    # erf, in place, at the points of y = |x| that masks or slices core (y <= 1)
+    # and tail (1 < y < 8) select; each branch reads its points before writing.
+    ac, at = y[core], y[tail]
     if ac.size:
         z = ac * ac
         num = _horner(z, _ERF_T)
@@ -103,8 +118,6 @@ def erf(x):
         w *= _horner(at, _ERF_P)
         w /= _horner(at, _ERF_Q)
         y[tail] = 1.0 - w
-    np.copysign(y, x, out=y)
-    return y[()] if y.ndim == 0 else y
 
 
 def _erf_float(x: float) -> float:

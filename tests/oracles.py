@@ -14,7 +14,7 @@ import numpy as np
 
 from gmerf.errors import GmerfError
 from gmerf.fixed_point import GMEParams, SolverConfig
-from gmerf.numerics import GridFunction, RootBracket, _require, bracket_root, find_root
+from gmerf.numerics import GridFunction, _require, bracket_root, find_root
 
 __all__ = ["IntegrationError", "shoot_bvp", "shoot_bvp_dirichlet"]
 
@@ -61,13 +61,16 @@ def shoot_bvp(params: GMEParams, config: SolverConfig) -> GridFunction:
 
     The boundary value y(0) = a parametrizes initial data via the flux
     condition (1 + beta a) y'(0) = gamma a; classical RK4 integrates each
-    candidate on the config grid and a is root-found in [0, 1] until
-    y(lam) = 1 within `find_root`'s default 1e-12 on the parameter.
+    candidate on the config grid. a is about 1/gamma and the initial slope
+    multiplies its error by gamma, so a is searched in relative terms: r =
+    -log(a) is bracketed upward from 0 (a = 1, where y(lam) >= 1) and
+    root-found until y(lam) = 1 within `find_root`'s 1e-12 on r, a relative
+    1e-12 on a whatever gamma is.
 
     Raises
     ------
     BracketError
-        If no a in [0, 1] brackets y(lam) - 1.
+        If no r up to 2^60 times the first guess brackets y(lam) - 1.
     IntegrationError
         If an initial value integration blows up.
     """
@@ -76,14 +79,16 @@ def shoot_bvp(params: GMEParams, config: SolverConfig) -> GridFunction:
     beta, gamma, lam = params.beta, params.gamma, params.lam
     n = config.grid_n
 
-    def mismatch(a: float) -> float:
-        p0 = gamma * a / (1.0 + beta * a)
-        return _rk4_profile(a, p0, lam, n, beta)[1] - 1.0
+    def profile(r: float) -> np.ndarray:
+        a = math.exp(-r)
+        return _rk4_profile(a, gamma * a / (1.0 + beta * a), lam, n, beta)[0]
 
-    a_star = find_root(mismatch, RootBracket(0.0, 1.0, mismatch(0.0), mismatch(1.0)))
-    p0 = gamma * a_star / (1.0 + beta * a_star)
-    ys, _ = _rk4_profile(a_star, p0, lam, n, beta)
-    return GridFunction(lam, ys)
+    def mismatch(r: float) -> float:
+        return profile(r)[-1] - 1.0
+
+    # At beta = 0, a = 1/(1 + (sqrt(pi)/2) gamma erf(lam)): the first guess is above that r.
+    r_star = find_root(mismatch, bracket_root(mismatch, 0.0, math.log1p(gamma) + 1.0))
+    return GridFunction(lam, profile(r_star))
 
 
 def shoot_bvp_dirichlet(beta: float, lam: float, config: SolverConfig) -> GridFunction:

@@ -680,22 +680,16 @@ class TestBatchAtScale:
                 original(self)
 
             monkeypatch.setattr(cls, "__post_init__", counting)
-        # `_solution` builds a GMESolution without its __post_init__: counted
-        # here, and still called, since the dirichlet run's prescribed-value
-        # solve needs the result.
-        def solution(*args, original=fixed_point._solution):
-            built.append("GMESolution")
-            return original(*args)
-
-        monkeypatch.setattr(fixed_point, "_solution", solution)
         path, _ = self.sweep_spec(tmp_path, 6)
         assert run(capsys, ["sweep", "--spec", str(path), "--grid-n", "201"])[0] == 0
         assert run(capsys, self.HSCAN)[0] == 0
         assert built == []
         # Only the prescribed-value profile is an object; the 4 flux-condition rows are not.
+        # `solve_gme` builds its GMESolution without __post_init__, around a
+        # GridFunction that is counted.
         dirichlet = ["dirichlet", "--beta", "0.002", "--lambda", "1.2", "--gamma", "0.1", "1", "10", "100"]
         assert run(capsys, [*dirichlet, "--curve-dir", str(tmp_path / "curves"), "--grid-n", "201"])[0] == 0
-        assert built == ["GMEParams", "GMESolution", "GridFunction"]
+        assert built == ["GMEParams", "GridFunction"]
 
 
 def test_sweep_and_hscan_leave_numpy_ma_unloaded(tmp_path):

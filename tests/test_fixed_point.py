@@ -18,7 +18,10 @@ from gmerf.fixed_point import (
     GMEParams,
     GMESolution,
     SolverConfig,
+    _POST_CONDITIONS,
     _apply,
+    _fault,
+    _faulty,
     _seed,
     _solve_rows,
     contraction_factor,
@@ -28,7 +31,7 @@ from gmerf.fixed_point import (
     lipschitz_bound,
     solve_gme,
 )
-from gmerf.numerics import GridFunction, _cumint, _cumint_work, _uniform_nodes, erf
+from gmerf.numerics import GridFunction, _cumint, _cumint_work, _erf_sorted, _uniform_nodes, erf
 from oracles import shoot_bvp_dirichlet
 
 SQRT_PI = math.sqrt(math.pi)
@@ -97,7 +100,7 @@ class TestOperatorPieces:
         params = GMEParams(0.3, 2.0, 1.5)
         h = GridFunction(1.5, np.linspace(0.2, 1.0, 401))
         out = fixed_point_map(h, params)
-        d = _apply(h.values, h.nodes, h.step, params.beta, 1.0 / params.gamma)[1][0]
+        d = _apply(h.values, h.nodes, h.step, params.beta, 1.0 / params.gamma)[1]  # a scalar for 1-D rows
         assert out.values[0] == pytest.approx(d / params.gamma, rel=1e-12)
 
     def test_constant_conductivity_map_lands_on_closed_form_from_any_seed(self):
@@ -276,6 +279,15 @@ class TestKernelBitIdentity:
         assert _seed(nodes, gammas).tobytes() == want.tobytes()
         for j in range(2):
             assert _seed(nodes[j], 0.3).tobytes() == zero_order(nodes[j], 0.3, float(lams[j, 0])).tobytes()
+
+    @pytest.mark.parametrize("lam, n", [(8.0, 9), (16.0, 17), (2.0, 3), (8.0, 1001), (16.0, 2001)])
+    def test_seed_erf_on_slices_matches_masked_erf_with_nodes_at_the_branch_ends(self, lam, n):
+        # A 1-D row's erf runs on slices cut at 1.0 and 8.0; a node exactly on
+        # either end belongs to the branch `erf`'s masks give it.
+        nodes = _uniform_nodes(lam, n)
+        assert 1.0 in nodes and (8.0 in nodes) == (lam >= 8.0)
+        assert _erf_sorted(nodes).tobytes() == erf(nodes).tobytes()
+        assert _seed(nodes, 0.7).tobytes() == _seed(nodes[None], 0.7)[0].tobytes()
 
     @pytest.mark.parametrize("n", NS)
     @pytest.mark.parametrize("image_is_input", [False, True])
@@ -594,7 +606,7 @@ def lone_picard(params, config):
         h = nh
         if residual <= config.fp_tol:
             _, d, weight = _apply(h.values, h.nodes, h.step, params.beta, 1.0 / params.gamma)
-            return h.values, d[0], d[0] * float(weight[-1]), iterations, residual
+            return h.values, d, d * weight[-1], iterations, residual
     return None, None, None, iterations, residual
 
 
@@ -702,7 +714,8 @@ class TestSolveRows:
         # The image, psi, weight, quadrature scratch and final profiles of a
         # chunk are views of one allocation, which the allocator then keeps
         # for the next chunk; the nodes and the seed are not. The second
-        # chunk holds one row, whose kernels get 1-D views of the same arrays.
+        # chunk holds one row and takes the lone path, whose 1-D arrays are
+        # carved the same way; its final profile is the seed or a block buffer.
         calls, seeds, apply, seed = [], [], fixed_point._apply, fixed_point._seed
 
         def spy(v, nodes, *args, out=None):
@@ -731,8 +744,86 @@ class TestSolveRows:
             ndims.add(v.ndim)
         assert len(blocks) == 2  # one per chunk
         assert ndims == {1, 2}
-        final, _, (image, psi, _, _) = calls[-1]
+        final, _, (image, psi, _, _) = [call for call in calls if call[0].ndim == 2][-1]
         assert final.base is psi.base and not np.shares_memory(final, image)
+        final, _, (image, psi, _, _) = calls[-1]
+        assert (final.base is psi.base or final is seeds[1]) and not np.shares_memory(final, image)
+
+    # Edge points, each solved in one batch of rows and alone: zero-step nodes
+    # (lam = 1e-322), a subnormal gamma whose 1/gamma overflows quietly into a
+    # nan update, huge gammas, lam = 40 at gamma = inf, and slopes above the
+    # certified range, among ordinary points.
+    EDGES = [
+        (0.1, 1.0, 1.0),
+        (0.1, 1.0, 1e-322),
+        (0.1, 1e-320, 1.0),
+        (0.1, 1e300, 1.0),
+        (0.0, 1e300, 0.5),
+        (0.01, math.inf, 40.0),
+        (0.5, 10.0, 1.0),
+        (3.0, 1.0, 2.0),
+        (0.29, 1.0, 5.0),
+        (0.2, math.inf, 2.0),
+    ]
+
+    @pytest.mark.parametrize("max_iter", [20000, 3])
+    @pytest.mark.parametrize("n", [3, 4, 5, 201])
+    def test_edge_points_match_between_lone_and_batched_solves(self, monkeypatch, n, max_iter):
+        config = SolverConfig(grid_n=n)
+        monkeypatch.setattr(fixed_point, "_FP_MAX_ITER", max_iter)
+        kinds = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _solve_rows(self.EDGES, config, allow_unproven=True, keep_profiles=True)  # one chunk
+            for i, point in enumerate(self.EDGES):
+                got = rows.errors[i]
+                try:
+                    want = solve_gme(GMEParams(*point), config, allow_unproven=True)
+                except FixedPointError as exc:
+                    kinds.add(exc.args[0].split(" ")[1])
+                    assert (type(got), str(got), got.iterations, repr(got.residual)) == (
+                        FixedPointError, str(exc), exc.iterations, repr(exc.residual)
+                    )
+                    continue
+                kinds.add("certified" if want.contraction_certified else "unproven")
+                assert got is None and rows.certified[i] == want.contraction_certified
+                fields = (rows.profiles[i].tobytes(), rows.d_coeff[i], rows.phi_prime_lambda[i], rows.iterations[i], rows.residual[i])
+                assert fields == (want.phi.values.tobytes(), want.d_coeff, want.phi_prime_lambda, want.iterations, want.residual)
+        # "update" is the nan failure, "iteration" the cap's, which the unproven slopes reach at 3.
+        assert {"certified", "update"} <= kinds
+        assert ("iteration" in kinds) == (max_iter == 3) == ("unproven" not in kinds)
+
+    NAN = math.nan
+    RAMP = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    @pytest.mark.parametrize(
+        "v, d, gamma, breach",
+        [
+            (RAMP, 0.5, 1.0, None),
+            ([0.1, 0.25, 0.5, 0.75, 1.0], 1.0 + 1e-13, 1.0, None),  # d within gamma's 1e-12 slack
+            ([0.2, 0.4, 0.6, 0.8, 1.0], 1e300, math.inf, None),
+            ([-1e-300, 0.25, 0.5, 0.75, 1.0], 0.5, 1.0, 0),
+            ([0.0, 0.5, 0.25, 0.75, 1.0], 0.5, 1.0, 1),
+            ([0.0, 0.25, NAN, 0.75, 1.0], 0.5, 1.0, 1),
+            ([NAN, 0.25, 0.5, 0.75, 1.0], 0.5, 1.0, 1),
+            ([0.0, 0.25, 0.5, 0.75, NAN], 0.5, 1.0, 1),
+            ([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53], 0.5, 1.0, 2),
+            ([0.0, 0.25, 0.5, 0.75, 1.5], 0.5, 1.0, 2),
+            (RAMP, 0.0, 1.0, 3),
+            (RAMP, -0.5, 1.0, 3),
+            (RAMP, 1.0 + 1e-11, 1.0, 3),
+            (RAMP, NAN, 1.0, 3),
+            (RAMP, math.inf, 1.0, 3),
+            ([-0.5, 0.5, 0.25, 0.75, 0.5], NAN, 1.0, 0),  # the first breach names it
+        ],
+    )
+    def test_lone_and_row_post_condition_tests_agree(self, v, d, gamma, breach):
+        # `_fault` (lone solves) and `_faulty` (chunks of rows) test the same conditions.
+        v = np.array(v)
+        want = None if breach is None else _POST_CONDITIONS[breach].format(d=d)
+        assert _fault(v, d, gamma) == want
+        flags = _faulty(np.stack([v, np.array(self.RAMP)]), np.array([d, 0.5]), np.array([gamma, 1.0]))
+        assert flags.tolist() == [breach is not None, False]
 
     def test_one_row_per_chunk_on_grids_beyond_the_budget(self, monkeypatch):
         config = SolverConfig(grid_n=101)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gmerf import numerics
 from gmerf.errors import BracketError, RootConvergenceError
-from gmerf.fixed_point import GMEParams, SolverConfig
+from gmerf.fixed_point import GMEParams, SolverConfig, solve_gme
 from gmerf.numerics import (
     GridFunction,
     RootBracket,
@@ -383,6 +383,15 @@ class TestShooting:
             errs.append(np.max(np.abs(coarse - fine[idx])))
         assert errs[0] / errs[1] > 10.0
         assert errs[1] / errs[2] > 10.0
+
+    @pytest.mark.parametrize("beta, gamma, lam", [(1.4e-13, 1.735e11, 1.166), (0.0, 6.3e152, 1.0)])
+    def test_huge_gamma_matches_the_fixed_point_solve(self, beta, gamma, lam):
+        # y(0) is about 1/gamma, and the initial slope multiplies its error by
+        # gamma: searched to an absolute 1e-12, y(0) left these profiles 6.2e-3
+        # and 1.0 from the Picard solve's.
+        params, config = GMEParams(beta, gamma, lam), SolverConfig(grid_n=2001)
+        prof = shoot_bvp(params, config)
+        assert np.max(np.abs(prof.values - solve_gme(params, config).phi.values)) < 1e-12
 
     def test_rejects_infinite_gamma(self):
         with pytest.raises(ValueError):

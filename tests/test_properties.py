@@ -32,10 +32,10 @@ EDGE_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 PROFILE_CONFIG = SolverConfig(grid_n=1001)
 
 
-# gamma stays below about 1e10, where the oracle's absolute 1e-12 step on
-# y(0) ~ 1/gamma still resolves the profile.
+# The oracle searches y(0) ~ 1/gamma in relative terms, so gamma may range to
+# 1e300; near 1.7e308 its first guess for y(0) is subnormal and it fails.
 @given(
-    log_gamma=st.one_of(st.floats(-6.0, 6.0), st.just(math.inf)),
+    log_gamma=st.one_of(st.floats(-6.0, 300.0), st.just(math.inf)),
     log_lam=st.floats(-3.0, math.log10(50.0)),
     share=st.floats(0.0, 0.999),
 )
