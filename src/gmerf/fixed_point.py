@@ -445,7 +445,6 @@ class _Rows(NamedTuple):
     phi_prime_lambda: np.ndarray  # (k,)
     iterations: np.ndarray  # (k,) int
     residual: np.ndarray  # (k,)
-    certified: np.ndarray  # (k,) bool
     errors: list  # the exception solve_gme raises for the point, else None
     profiles: list | None  # each point's converged profile (a view into its chunk), if kept
 
@@ -460,9 +459,12 @@ def _raise_first(errors: list) -> None:
 def _float_errors(points: list):
     # The float-warning state a solve of valid (beta, gamma, lam) points runs in.
     # 1/gamma or the normalizer 1/(1/gamma + int_0^lam E), int E >= min(lam, 1)/(e (1 + beta)),
-    # may overflow: the point's first update is then nan, which fails it. Such a solve runs
-    # with float warnings off; others keep numpy's default error state, which ufuncs read fastest.
-    if all(1e-290 < 1.0 / gamma + min(lam, 1.0) / (1.0 + beta) < math.inf for beta, gamma, lam in points):
+    # may overflow: the point's first update is then nan, which fails it. From lam of about
+    # 1.3e154 the inner integral int_0^lam s/Psi ds, up to lam**2/2, overflows in its panel
+    # sums: E is then 0 beyond the first node. Such a solve runs with float warnings off;
+    # others keep numpy's default error state, which ufuncs read fastest.
+    if all(lam < 1e154 and 1e-290 < 1.0 / gamma + min(lam, 1.0) / (1.0 + beta) < math.inf
+           for beta, gamma, lam in points):
         return contextlib.nullcontext()
     return np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
@@ -471,18 +473,16 @@ def _solve_rows(
     points: Sequence[tuple[float, float, float]],
     config: SolverConfig,
     *,
-    allow_unproven: bool = False,
     keep_profiles: bool = False,
 ) -> _Rows:
     """Solve many profile problems on one grid size, as arrays with one entry per point.
 
     Each point is a (beta, gamma, lam) triple. Entry i holds, bit for bit,
-    what ``solve_gme(GMEParams(*points[i]), config, allow_unproven=...)``
-    returns, or in ``errors[i]`` the exception it raises. Only an invalid
-    point goes through GMEParams, for its message. Points are iterated
-    together by `_solve_chunk` in chunks of at most `_CHUNK_ELEMENTS` node
-    values; a chunk of one row (the last one, or every one on a grid above
-    that budget) takes `_solve_one`, the path of a lone solve. The profiles
+    what ``solve_gme(GMEParams(*points[i]), config)`` returns, or in
+    ``errors[i]`` the exception it raises: a slope above the certified range
+    is refused. Only an invalid point goes through GMEParams, for its
+    message. Every chunk of at most `_CHUNK_ELEMENTS` node values (one row
+    on a grid above that budget) is iterated by `_solve_chunk`. The profiles
     are kept (``profiles``) only with keep_profiles.
     """
     k = len(points)
@@ -491,7 +491,6 @@ def _solve_rows(
         phi_prime_lambda=np.empty(k),
         iterations=np.zeros(k, dtype=int),
         residual=np.empty(k),
-        certified=np.ones(k, dtype=bool),
         errors=[None] * k,
         profiles=[None] * k if keep_profiles else None,
     )
@@ -500,7 +499,7 @@ def _solve_rows(
         try:
             if not (0.0 <= beta < math.inf and gamma > 0.0 and 0.0 < lam < math.inf):
                 GMEParams(beta, gamma, lam)  # raises the point's ValueError
-            rows.certified[i] = _certified(beta, gamma, lam, allow_unproven)
+            _certified(beta, gamma, lam, False)
         except (GmerfError, ValueError) as exc:
             rows.errors[i] = exc
         else:
@@ -509,23 +508,12 @@ def _solve_rows(
     with _float_errors([points[i] for i in todo]):
         for start in range(0, len(todo), step):
             chunk = todo[start : start + step]
-            if len(chunk) > 1:
-                _solve_chunk(np.array(chunk), np.array([points[i] for i in chunk], dtype=float), config, rows)
-                continue
-            i = chunk[0]
-            try:
-                profile, *numbers = _solve_one(*points[i], config)
-            except FixedPointError as exc:
-                rows.errors[i] = exc
-                continue
-            rows.d_coeff[i], rows.phi_prime_lambda[i], rows.iterations[i], rows.residual[i] = numbers
-            if keep_profiles:
-                rows.profiles[i] = profile
+            _solve_chunk(np.array(chunk), np.array([points[i] for i in chunk], dtype=float), config, rows)
     return rows
 
 
 def _solve_one(beta: float, gamma: float, lam: float, config: SolverConfig) -> tuple:
-    """Picard on one valid point: (profile, d_coeff, phi_prime_lambda, iterations, residual).
+    """Picard on one valid point for `solve_gme`: (profile, d_coeff, phi_prime_lambda, iterations, residual).
 
     `_solve_chunk`'s seed, steps and stopping rule on one row, bit for bit, on
     1-D arrays with float parameters, and no masks or index arrays to retire
@@ -556,7 +544,7 @@ def _solve_one(beta: float, gamma: float, lam: float, config: SolverConfig) -> t
 
 
 def _solve_chunk(idx: np.ndarray, params: np.ndarray, config: SolverConfig, rows: _Rows) -> None:
-    # Picard on a chunk of two or more rows: params holds a (beta, gamma, lam)
+    # Picard on a chunk of one or more rows: params holds a (beta, gamma, lam)
     # row per point, whose results go to entry idx[j] of rows.
     n, k = config.grid_n, len(params)
     beta, gamma, lam = params[:, 0:1], params[:, 1:2], params[:, 2:3]

@@ -31,24 +31,37 @@ def _accel(eta: float, y: float, p: float, beta: float) -> float:
     return -(beta * p * p + 2.0 * eta * p) / den
 
 
+# Under RK4's real-axis stability bound of about 2.785: a step s with 2 eta s
+# past it amplifies round-off in the decaying y' at every step.
+_RK4_STABLE = 2.78
+
+
 def _rk4_profile(y0: float, p0: float, lam: float, n: int, beta: float) -> tuple[np.ndarray, float]:
-    """Classical RK4 on the profile equation; returns node values and y(lam)."""
+    """Classical RK4 on the profile equation; returns node values and y(lam).
+
+    y' decays at a rate of up to 2 lam, so each node interval takes m equal
+    substeps s = h/m, m the least with 2 lam s within `_RK4_STABLE`: one
+    step per interval wherever the grid step h is within it.
+    """
     h = lam / (n - 1)
+    m = max(1, math.ceil(2.0 * lam * h / _RK4_STABLE))
+    s = h / m
     ys = np.empty(n)
     ys[0] = y0
     y, p = y0, p0
     for i in range(1, n):
-        eta = (i - 1) * h
-        k1y = p
-        k1p = _accel(eta, y, p, beta)
-        k2y = p + 0.5 * h * k1p
-        k2p = _accel(eta + 0.5 * h, y + 0.5 * h * k1y, k2y, beta)
-        k3y = p + 0.5 * h * k2p
-        k3p = _accel(eta + 0.5 * h, y + 0.5 * h * k2y, k3y, beta)
-        k4y = p + h * k3p
-        k4p = _accel(eta + h, y + h * k3y, k4y, beta)
-        y += (h / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
-        p += (h / 6.0) * (k1p + 2.0 * (k2p + k3p) + k4p)
+        for j in range(m):
+            eta = (i - 1) * h + j * s
+            k1y = p
+            k1p = _accel(eta, y, p, beta)
+            k2y = p + 0.5 * s * k1p
+            k2p = _accel(eta + 0.5 * s, y + 0.5 * s * k1y, k2y, beta)
+            k3y = p + 0.5 * s * k2p
+            k3p = _accel(eta + 0.5 * s, y + 0.5 * s * k2y, k3y, beta)
+            k4y = p + s * k3p
+            k4p = _accel(eta + s, y + s * k3y, k4y, beta)
+            y += (s / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
+            p += (s / 6.0) * (k1p + 2.0 * (k2p + k3p) + k4p)
         ys[i] = y
     if not (math.isfinite(y) and math.isfinite(p)):
         raise IntegrationError("initial value integration left the finite range")

@@ -535,6 +535,34 @@ class TestSolveGme:
                 solve_gme(GMEParams(0.0, math.inf, lam))
         assert excinfo.value.iterations == 1 and math.isnan(excinfo.value.residual)
 
+    @pytest.mark.parametrize("n", [5, 201])
+    @pytest.mark.parametrize("lam", [1e155, 1e300])
+    def test_huge_lam_solves_without_float_warnings(self, lam, n):
+        # The inner integral, up to lam**2/2, overflows to inf, so E is 0 past
+        # node 0: the profile jumps to 1 at node 1, or the rounding of d breaks
+        # monotonicity (FixedPointError). A batch and lone solves agree.
+        config = SolverConfig(grid_n=n)
+        points = [(0.05, 1.0, lam), (0.0, math.inf, lam), (0.05, math.inf, lam)]
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _solve_rows(points, config, keep_profiles=True)
+            for i, point in enumerate(points):
+                got = rows.errors[i]
+                try:
+                    sol = solve_gme(GMEParams(*point), config)
+                except FixedPointError as exc:
+                    outcomes.add("failed")
+                    assert (type(got), str(got)) == (FixedPointError, str(exc))
+                    continue
+                outcomes.add("solved")
+                v = sol.phi.values
+                assert v[0] == sol.d_coeff / point[1] and (v[1:] == 1.0).all() and sol.phi_prime_lambda == 0.0
+                fields = (rows.profiles[i].tobytes(), rows.d_coeff[i], rows.phi_prime_lambda[i], rows.iterations[i], rows.residual[i])
+                assert got is None
+                assert fields == (v.tobytes(), sol.d_coeff, sol.phi_prime_lambda, sol.iterations, sol.residual)
+        assert outcomes == ({"failed"} if (lam, n) == (1e300, 5) else {"solved"})
+
     def test_slope_failing_the_inequality_is_refused_at_huge_gamma(self):
         assert contraction_factor(1e-10, 1e13) > 1.0
         with pytest.raises(ContractionError):
@@ -618,7 +646,7 @@ class TestSolveRows:
         (0.25, 1.0, 3.0),
         (0.05, math.inf, 0.8),
         (-0.1, 1.0, 1.0),  # invalid: ValueError
-        (0.5, 10.0, 1.0),  # above the threshold: ContractionError unless allowed
+        (0.5, 10.0, 1.0),  # above the threshold: ContractionError
         (0.02, 3.0, 0.3),
         (0.2, math.inf, 2.0),
         (0.29, 1.0, 5.0),
@@ -626,22 +654,22 @@ class TestSolveRows:
     ]
 
     @pytest.mark.parametrize("max_iter", [20000, 5])
-    @pytest.mark.parametrize("allow_unproven", [False, True])
     @pytest.mark.parametrize("chunk_rows", [None, 3, 1])
-    def test_matches_lone_solves(self, monkeypatch, max_iter, allow_unproven, chunk_rows):
+    def test_matches_lone_solves(self, monkeypatch, max_iter, chunk_rows):
+        # chunk_rows = 1 iterates every row as a chunk of its own.
         config = SolverConfig(grid_n=101)
         monkeypatch.setattr(fixed_point, "_FP_MAX_ITER", max_iter)
         if chunk_rows is not None:
             monkeypatch.setattr(fixed_point, "_CHUNK_ELEMENTS", chunk_rows * config.grid_n)
-        rows = _solve_rows(self.POINTS, config, allow_unproven=allow_unproven, keep_profiles=True)
-        bare = _solve_rows(self.POINTS, config, allow_unproven=allow_unproven)
+        rows = _solve_rows(self.POINTS, config, keep_profiles=True)
+        bare = _solve_rows(self.POINTS, config)
         assert len(rows.errors) == len(self.POINTS) and bare.profiles is None
         kinds = set()
         for i, point in enumerate(self.POINTS):
             got = rows.errors[i]
             assert type(bare.errors[i]) is type(got) and str(bare.errors[i]) == str(got)
             try:
-                want = solve_gme(GMEParams(*point), config, allow_unproven=allow_unproven)
+                want = solve_gme(GMEParams(*point), config)
             except (GmerfError, ValueError) as exc:
                 kinds.add(type(exc))
                 assert type(got) is type(exc)
@@ -651,15 +679,13 @@ class TestSolveRows:
                     assert (got.iterations, got.residual) == lone_picard(GMEParams(*point), config)[3:]
                 continue
             assert got is None
-            assert rows.certified[i] == want.contraction_certified == bare.certified[i]
             numbers = (rows.d_coeff[i], rows.phi_prime_lambda[i], rows.iterations[i], rows.residual[i])
             fields = (rows.profiles[i].tobytes(), *numbers)
             assert numbers == (bare.d_coeff[i], bare.phi_prime_lambda[i], bare.iterations[i], bare.residual[i])
             assert fields == (want.phi.values.tobytes(), want.d_coeff, want.phi_prime_lambda, want.iterations, want.residual)
             values, d, slope, iterations, residual = lone_picard(GMEParams(*point), config)
             assert fields == (values.tobytes(), d, slope, iterations, residual)
-        assert ValueError in kinds
-        assert (ContractionError in kinds) != allow_unproven
+        assert {ValueError, ContractionError} <= kinds
         assert (FixedPointError in kinds) == (max_iter == 5)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 202])
@@ -676,7 +702,7 @@ class TestSolveRows:
             values, d, slope, iterations, residual = lone_picard(GMEParams(*point), config)
             fields = (rows.profiles[i].tobytes(), rows.d_coeff[i], rows.phi_prime_lambda[i], rows.iterations[i], rows.residual[i])
             assert fields == (values.tobytes(), d, slope, iterations, residual)
-            lone = solve_gme(GMEParams(*point), config)  # a one-row chunk
+            lone = solve_gme(GMEParams(*point), config)
             assert fields == (lone.phi.values.tobytes(), lone.d_coeff, lone.phi_prime_lambda, lone.iterations, lone.residual)
 
     def test_retired_rows_iterate_on_with_their_chunk(self, monkeypatch):
@@ -714,8 +740,7 @@ class TestSolveRows:
         # The image, psi, weight, quadrature scratch and final profiles of a
         # chunk are views of one allocation, which the allocator then keeps
         # for the next chunk; the nodes and the seed are not. The second
-        # chunk holds one row and takes the lone path, whose 1-D arrays are
-        # carved the same way; its final profile is the seed or a block buffer.
+        # chunk holds one row, on the same 2-D path.
         calls, seeds, apply, seed = [], [], fixed_point._apply, fixed_point._seed
 
         def spy(v, nodes, *args, out=None):
@@ -743,16 +768,17 @@ class TestSolveRows:
             blocks.add(id(block))
             ndims.add(v.ndim)
         assert len(blocks) == 2  # one per chunk
-        assert ndims == {1, 2}
-        final, _, (image, psi, _, _) = [call for call in calls if call[0].ndim == 2][-1]
-        assert final.base is psi.base and not np.shares_memory(final, image)
-        final, _, (image, psi, _, _) = calls[-1]
-        assert (final.base is psi.base or final is seeds[1]) and not np.shares_memory(final, image)
+        assert ndims == {2}
+        assert [v.shape[0] for v, _, _ in calls[:1] + calls[-1:]] == [3, 1]
+        lasts = {id(psi.base): (v, tv, psi) for v, _, (tv, psi, _, _) in calls}  # each chunk's final call
+        for final, image, psi in lasts.values():
+            assert final.base is psi.base and not np.shares_memory(final, image)
 
-    # Edge points, each solved in one batch of rows and alone: zero-step nodes
-    # (lam = 1e-322), a subnormal gamma whose 1/gamma overflows quietly into a
-    # nan update, huge gammas, lam = 40 at gamma = inf, and slopes above the
-    # certified range, among ordinary points.
+    # Edge points, each solved in one batch of rows, in a batch of its own and
+    # alone: zero-step nodes (lam = 1e-322), a subnormal gamma whose 1/gamma
+    # overflows quietly into a nan update, huge gammas, lam = 40 at
+    # gamma = inf, and slopes above the certified range, which are refused,
+    # among ordinary points.
     EDGES = [
         (0.1, 1.0, 1.0),
         (0.1, 1.0, 1e-322),
@@ -767,31 +793,39 @@ class TestSolveRows:
     ]
 
     @pytest.mark.parametrize("max_iter", [20000, 3])
-    @pytest.mark.parametrize("n", [3, 4, 5, 201])
+    @pytest.mark.parametrize("n", [3, 4, 5, 201, 1001, 8193])
     def test_edge_points_match_between_lone_and_batched_solves(self, monkeypatch, n, max_iter):
+        # The batch is one chunk up to 1001 nodes and a chunk per row at 8193.
         config = SolverConfig(grid_n=n)
         monkeypatch.setattr(fixed_point, "_FP_MAX_ITER", max_iter)
         kinds = set()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = _solve_rows(self.EDGES, config, allow_unproven=True, keep_profiles=True)  # one chunk
+            batch = _solve_rows(self.EDGES, config, keep_profiles=True)
             for i, point in enumerate(self.EDGES):
-                got = rows.errors[i]
+                alone = _solve_rows([point], config, keep_profiles=True)
                 try:
-                    want = solve_gme(GMEParams(*point), config, allow_unproven=True)
+                    want = solve_gme(GMEParams(*point), config)
+                except ContractionError as exc:
+                    kinds.add("refused")
+                    for got in (batch.errors[i], alone.errors[0]):
+                        assert (type(got), str(got)) == (ContractionError, str(exc))
+                    continue
                 except FixedPointError as exc:
                     kinds.add(exc.args[0].split(" ")[1])
-                    assert (type(got), str(got), got.iterations, repr(got.residual)) == (
-                        FixedPointError, str(exc), exc.iterations, repr(exc.residual)
-                    )
+                    for got in (batch.errors[i], alone.errors[0]):
+                        assert (type(got), str(got), got.iterations, repr(got.residual)) == (
+                            FixedPointError, str(exc), exc.iterations, repr(exc.residual)
+                        )
                     continue
-                kinds.add("certified" if want.contraction_certified else "unproven")
-                assert got is None and rows.certified[i] == want.contraction_certified
-                fields = (rows.profiles[i].tobytes(), rows.d_coeff[i], rows.phi_prime_lambda[i], rows.iterations[i], rows.residual[i])
-                assert fields == (want.phi.values.tobytes(), want.d_coeff, want.phi_prime_lambda, want.iterations, want.residual)
-        # "update" is the nan failure, "iteration" the cap's, which the unproven slopes reach at 3.
-        assert {"certified", "update"} <= kinds
-        assert ("iteration" in kinds) == (max_iter == 3) == ("unproven" not in kinds)
+                kinds.add("solved")
+                for rows, j in ((batch, i), (alone, 0)):
+                    assert rows.errors[j] is None
+                    fields = (rows.profiles[j].tobytes(), rows.d_coeff[j], rows.phi_prime_lambda[j], rows.iterations[j], rows.residual[j])
+                    assert fields == (want.phi.values.tobytes(), want.d_coeff, want.phi_prime_lambda, want.iterations, want.residual)
+        # "update" is the nan failure, "iteration" the cap's.
+        assert {"solved", "update", "refused"} <= kinds
+        assert ("iteration" in kinds) == (max_iter == 3)
 
     NAN = math.nan
     RAMP = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -825,12 +859,17 @@ class TestSolveRows:
         flags = _faulty(np.stack([v, np.array(self.RAMP)]), np.array([d, 0.5]), np.array([gamma, 1.0]))
         assert flags.tolist() == [breach is not None, False]
 
-    def test_one_row_per_chunk_on_grids_beyond_the_budget(self, monkeypatch):
-        config = SolverConfig(grid_n=101)
-        monkeypatch.setattr(fixed_point, "_CHUNK_ELEMENTS", 50)
-        rows = _solve_rows(self.POINTS[:4], config, keep_profiles=True)
-        for point, got in zip(self.POINTS[:4], rows.profiles):
-            assert got.tobytes() == solve_gme(GMEParams(*point), config).phi.values.tobytes()
+    def test_one_row_per_chunk_on_grids_beyond_the_budget(self):
+        # At 8193 nodes each row is a chunk of its own, on the chunk path.
+        config = SolverConfig(grid_n=8193)
+        assert fixed_point._CHUNK_ELEMENTS // config.grid_n == 0
+        points = [(0.1, 1.0, 1.0), (0.2, math.inf, 2.0)]
+        rows = _solve_rows(points, config, keep_profiles=True)
+        assert rows.errors == [None, None]
+        for i, point in enumerate(points):
+            want = solve_gme(GMEParams(*point), config)
+            fields = (rows.profiles[i].tobytes(), rows.d_coeff[i], rows.phi_prime_lambda[i], rows.iterations[i], rows.residual[i])
+            assert fields == (want.phi.values.tobytes(), want.d_coeff, want.phi_prime_lambda, want.iterations, want.residual)
 
     def test_empty_batch(self):
         rows = _solve_rows([], DEFAULT_CONFIG)
@@ -932,7 +971,7 @@ class TestPrescribedValueVariant:
         monkeypatch.setattr(fixed_point, "dirichlet_contraction_threshold", counting)
         points = [(beta, math.inf, lam) for lam in (0.3, 1.0, 4.0) for beta in (0.0, 0.05)]
         rows = _solve_rows(points, SolverConfig(grid_n=51))
-        assert rows.errors == [None] * len(points) and rows.certified.all()
+        assert rows.errors == [None] * len(points)
         assert calls == []
         lam = 10.0
         beta = 1.5 * search(lam)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gmerf import numerics
 from gmerf.errors import BracketError, RootConvergenceError
-from gmerf.fixed_point import GMEParams, SolverConfig, solve_gme
+from gmerf.fixed_point import GMEParams, SolverConfig, contraction_threshold, dirichlet_contraction_threshold, solve_gme
 from gmerf.numerics import (
     GridFunction,
     RootBracket,
@@ -392,6 +392,19 @@ class TestShooting:
         params, config = GMEParams(beta, gamma, lam), SolverConfig(grid_n=2001)
         prof = shoot_bvp(params, config)
         assert np.max(np.abs(prof.values - solve_gme(params, config).phi.values)) < 1e-12
+
+    @pytest.mark.parametrize("gamma", [1.0, math.inf])
+    def test_stable_on_coarse_grids_at_large_lam(self, gamma):
+        # On 1001 nodes at lam = 50, 2 eta h passes RK4's stability bound from
+        # eta of about 28; one RK4 step per node interval blew up there.
+        lam, config = 50.0, SolverConfig(grid_n=1001)
+        if math.isinf(gamma):
+            beta = 0.5 * dirichlet_contraction_threshold(lam)
+            prof = shoot_bvp_dirichlet(beta, lam, config)
+        else:
+            beta = 0.5 * contraction_threshold(gamma)
+            prof = shoot_bvp(GMEParams(beta, gamma, lam), config)
+        assert np.max(np.abs(prof.values - solve_gme(GMEParams(beta, gamma, lam), config).phi.values)) < 1e-5
 
     def test_rejects_infinite_gamma(self):
         with pytest.raises(ValueError):

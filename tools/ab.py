@@ -21,21 +21,24 @@ The runs are:
   example (beta = 0.9 contraction_threshold(1), gamma = 1, lam = 2);
 - L3: a cold ``solve_stefan`` of the README case (its profile cache and the
   threshold cache cleared before every call);
-- L4: the ``stefan_cases`` and ``cli_sweep`` workloads of ``perfbench/``,
-  imported read-only, op i drawn once and run on both sides;
-- A/A: the head against its second copy on L2 at 201 nodes and on
-  ``stefan_cases``, whose quartiles should contain 1.
+- L4: the four workloads of ``perfbench/`` (``stefan_cases``,
+  ``cli_coarse``, ``cli_sweep``, ``profile_fine``), imported read-only, op i
+  drawn once and run on both sides;
+- A/A: the head against its second copy on L2 at 201 nodes and on each
+  workload, whose quartiles should contain 1.
 
 Before timing, an untimed pass counts per side the profile solves per call
 (per op at L4) and the Picard iterations per solve, and checks that both sides give the
-same bits (profiles, ``lambda*`` and field reads, CSV bytes). Workload ops
-are checked with the workload's own ``check``.
+same bits (profiles, ``lambda*`` and field reads, the CLI's CSV files, a
+``profile_fine`` solution's profile and numbers). Workload ops are checked
+with the workload's own ``check``.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -175,14 +178,24 @@ def workload_ops(side: Side, name: str, seed: int, k: int, tmp: Path):
             problems = wl.check(case, out)
             if problems:
                 raise AssertionError(f"{name} op {i} failed its check: {problems}")
-            if name == "stefan_cases":
-                lam, phi_prime, fields, _ = out
-                return dt, (lam, phi_prime, fields)
-            return dt, Path(case.out).read_bytes()
+            return dt, op_output(name, case, out)
 
         return op
 
     return [make(i) for i in range(k)]
+
+
+def op_output(name: str, case, out):
+    """What the bit check compares of one workload op."""
+    if name == "stefan_cases":
+        lam, phi_prime, fields, _ = out
+        return lam, phi_prime, fields
+    if name == "profile_fine":  # a solution; its 64001-node profile is compared by digest
+        digest = hashlib.sha256(out.phi.values.tobytes()).hexdigest()
+        return digest, out.d_coeff, out.phi_prime_lambda, out.iterations, out.residual, out.contraction_certified
+    # A CLI op: its CSV, and the curve files `gmerf dirichlet` writes beside it.
+    csv = Path(case.out)
+    return [(path.name, path.read_bytes()) for path in (csv, *sorted((csv.parent / "curves").glob("*")))]
 
 
 def quartiles(xs):
@@ -241,16 +254,19 @@ def main(argv=None) -> int:
         base = Side(load(tmp / "base" / "src" / "gmerf", "gmerf_base"), tmp / "base_ops")
         head = Side(load(ROOT / "src" / "gmerf", "gmerf_head"), tmp / "head_ops")
         again = Side(load(ROOT / "src" / "gmerf", "gmerf_head_again"), tmp / "again_ops")
-        ab = (base, head)
+        ab, aa = (base, head), (head, again)
+
+        def l4(name):
+            return lambda s: workload_ops(s, name, SEED, 2 * PAIRS, s.tmp)
+
         runs = [
             paired("solve_gme n=201", "L2", ab, lambda s: l2_ops(s, 201, 20, PAIRS)),
             paired("solve_gme n=1001", "L2", ab, lambda s: l2_ops(s, 1001, 10, PAIRS)),
             paired("solve_gme n=64001", "L2", ab, lambda s: l2_ops(s, 64001, 1, PAIRS)),
             paired("cold solve_stefan README", "L3", ab, lambda s: l3_ops(s, 2, PAIRS)),
-            paired("stefan_cases", "L4", ab, lambda s: workload_ops(s, "stefan_cases", SEED, 2 * PAIRS, s.tmp)),
-            paired("cli_sweep", "L4", ab, lambda s: workload_ops(s, "cli_sweep", SEED, 2 * PAIRS, s.tmp)),
-            paired("A/A solve_gme n=201", "L2", (head, again), lambda s: l2_ops(s, 201, 20, PAIRS), counted=False),
-            paired("A/A stefan_cases", "L4", (head, again), lambda s: workload_ops(s, "stefan_cases", SEED, 2 * PAIRS, s.tmp), counted=False),
+            *(paired(name, "L4", ab, l4(name)) for name in workloads.WORKLOADS),
+            paired("A/A solve_gme n=201", "L2", aa, lambda s: l2_ops(s, 201, 20, PAIRS), counted=False),
+            *(paired(f"A/A {name}", "L4", aa, l4(name), counted=False) for name in workloads.WORKLOADS),
         ]
     for run in runs:
         if run["name"].startswith("A/A"):
