@@ -60,16 +60,24 @@ def _sanitize(message: str) -> str:
 
 
 @functools.lru_cache(maxsize=64)
-def _row_template(kinds: tuple[type, ...]) -> str:
+def _row_template(text: tuple[bool, ...]) -> str:
     # Text cells as given; numbers as "%.17g", the text of format(float(x), ".17g").
-    return ",".join("%s" if issubclass(kind, str) else "%.17g" for kind in kinds)
+    return ",".join("%s" if is_text else "%.17g" for is_text in text)
 
 
-def _csv(header: list[str], rows) -> str:
-    """The CSV text of a table: text cells as given, every other cell with 17 significant digits."""
-    lines = [",".join(header)]
-    lines += [_row_template(tuple(map(type, row))) % tuple(row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], columns: list) -> str:
+    """The CSV text of a table from its columns: text cells as given, every other cell with 17 significant digits.
+
+    Each column is a numpy array, which holds no text, or a sequence; all
+    have one length. The cells are read once, an array's by ``tolist()`` so
+    that Python scalars are formatted, and the whole table is formatted by
+    one ``%``: each row by the template of its kind, which cells are text.
+    """
+    cols = [col.tolist() if isinstance(col, np.ndarray) else list(col) for col in columns]
+    text = [[False] * len(col) if isinstance(given, np.ndarray) else [isinstance(x, str) for x in col]
+            for given, col in zip(columns, cols)]
+    body = "\n".join(map(_row_template, zip(*text))) % tuple(itertools.chain.from_iterable(zip(*cols)))
+    return ",".join(header) + "\n" + (body + "\n" if body else "")
 
 
 def _exit_code(failures) -> int:
@@ -93,14 +101,16 @@ def _config_from(args: argparse.Namespace, file_value=None) -> SolverConfig:
 
 def _cmd_beta1(args: argparse.Namespace) -> int:
     gammas = list(_DEFAULT_GAMMAS) if args.gamma is None else args.gamma
-    rows, failures = [], []
+    thresholds, statuses, failures = [], [], []
     for gamma in gammas:
         try:
-            rows.append([gamma, contraction_threshold(gamma), "ok"])
+            thresholds.append(contraction_threshold(gamma))
+            statuses.append("ok")
         except (GmerfError, ValueError) as exc:
-            rows.append([gamma, "", _sanitize(str(exc))])
+            thresholds.append("")
+            statuses.append(_sanitize(str(exc)))
             failures.append(exc)
-    _emit(_csv(["gamma", "beta1", "status"], rows), args.out)
+    _emit(_csv(["gamma", "beta1", "status"], [gammas, thresholds, statuses]), args.out)
     return _exit_code(failures)
 
 
@@ -113,7 +123,7 @@ def _cmd_gme(args: argparse.Namespace) -> int:
     phi0 = zero_order(eta, args.gamma, args.lam)
     phi1 = phi0 + args.beta * first_order(eta, coeffs)
     header = ["eta", "phi", "phi0", "phi1_approx", "err0_pointwise", "err1_pointwise"]
-    _emit(_csv(header, zip(eta, phi, phi0, phi1, np.abs(phi - phi0), np.abs(phi - phi1))), args.out)
+    _emit(_csv(header, [eta, phi, phi0, phi1, np.abs(phi - phi0), np.abs(phi - phi1)]), args.out)
     return EXIT_OK
 
 
@@ -127,7 +137,7 @@ def _cmd_hscan(args: argparse.Namespace) -> int:
     lams = np.linspace(args.lmin, args.lmax, args.steps)
     rows = _solve_rows([(args.beta, args.gamma, float(lam)) for lam in lams], config)
     _raise_first(rows.errors)
-    _emit(_csv(["lambda", "H"], zip(lams.tolist(), (rows.phi_prime_lambda / lams).tolist())), args.out)
+    _emit(_csv(["lambda", "H"], [lams, rows.phi_prime_lambda / lams]), args.out)
     return EXIT_OK
 
 
@@ -196,12 +206,21 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _curve_names(gammas: list[float]) -> list[str]:
-    """One curve file name per gamma; two different gammas may not share one."""
-    names = [f"curves_gamma_{format(float(gamma), 'g')}.csv" for gamma in gammas]
+    """One curve file name per gamma; two different gammas may not share one.
+
+    A gamma is named by ``format(gamma, 'g')``, unless an earlier, different
+    gamma has that name; it is then named by ``repr(gamma)``, which tells
+    any two floats apart. A repeated gamma shares its file.
+    """
+    names: list[str] = []
     owner: dict[str, float] = {}
-    for name, gamma in zip(names, gammas):
+    for gamma in gammas:
+        name = f"curves_gamma_{format(float(gamma), 'g')}.csv"
+        if owner.get(name, gamma) != gamma:
+            name = f"curves_gamma_{float(gamma)!r}.csv"
         if owner.setdefault(name, gamma) != gamma:
             raise ValueError(f"--gamma {owner[name]!r} and {gamma!r} would both write {name}")
+        names.append(name)
     return names
 
 
@@ -209,14 +228,13 @@ def _cmd_dirichlet(args: argparse.Namespace) -> int:
     config = _config_from(args)
     names = None if args.curve_dir is None else _curve_names(args.gamma)
     dag, robins, gaps = _dirichlet_comparison(args.beta, args.lam, args.gamma, config)
-    _emit(_csv(["gamma", "sup_gap"], zip(args.gamma, gaps)), args.out)
+    _emit(_csv(["gamma", "sup_gap"], [args.gamma, gaps]), args.out)
 
     if names is not None:
         outdir = Path(args.curve_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         for name, robin in zip(names, robins):
-            curve = zip(dag.phi.nodes, robin, dag.phi.values)
-            _emit(_csv(["eta", "phi_gamma", "phi_dag"], curve), outdir / name)
+            _emit(_csv(["eta", "phi_gamma", "phi_dag"], [dag.phi.nodes, robin, dag.phi.values]), outdir / name)
     return EXIT_OK
 
 
@@ -234,13 +252,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     points = list(itertools.product(betas, gammas, lams))
     rows = _solve_rows(points, config)
-    numbers = zip(rows.d_coeff, rows.phi_prime_lambda, rows.iterations, rows.residual)
-    table = [
-        [*point, *values, "ok"] if exc is None else [*point, "", "", "", "", _sanitize(str(exc))]
-        for point, values, exc in zip(points, numbers, rows.errors)
+    # A failed row has empty number cells and its message as status.
+    solved = [exc is None for exc in rows.errors]
+    numbers = [
+        [x if ok else "" for x, ok in zip(col.tolist(), solved)]
+        for col in (rows.d_coeff, rows.phi_prime_lambda, rows.iterations, rows.residual)
     ]
+    statuses = ["ok" if exc is None else _sanitize(str(exc)) for exc in rows.errors]
     header = ["beta", "gamma", "lambda", "d_coeff", "phi_prime_lambda", "iterations", "residual", "status"]
-    _emit(_csv(header, table), args.out)
+    _emit(_csv(header, [*zip(*points), *numbers, statuses]), args.out)
     return _exit_code(exc for exc in rows.errors if exc is not None)
 
 

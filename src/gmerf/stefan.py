@@ -32,18 +32,34 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BracketError, ContractionError
+from .errors import BracketError, ContractionError, FixedPointError
 from .fixed_point import (
     DEFAULT_CONFIG,
     GMEParams,
     GMESolution,
     SolverConfig,
+    _apply,
+    _float_errors,
     _raise_first,
     _require_gamma,
+    _seed,
     _solve_rows,
     solve_gme,
 )
-from .numerics import SQRT_PI, RootBracket, _require, bracket_root, erf, find_root
+from .numerics import (
+    _BRENT_RTOL,
+    _ROOT_TOL,
+    SQRT_PI,
+    RootBracket,
+    _cumint,
+    _cumint_work,
+    _require,
+    _total_weights,
+    _uniform_nodes,
+    bracket_root,
+    erf,
+    find_root,
+)
 
 __all__ = [
     "PhysicalParams",
@@ -160,16 +176,22 @@ def solve_lambda(
 ) -> float:
     """Front coefficient lam* solving phi'(lam)/lam = 2 / ((1 + beta) Ste).
 
-    The bracket starts where closed-form lower and upper bounds on
-    phi'(lam)/lam cross the right-hand side, widened by a relative 1e-6; it
-    holds the root of the exact balance before any profile is solved. The
-    balance's own sign at each end decides the bracket: the low end halves
-    while the balance is non-positive there (down to lam = 1e-12), and the
-    high end doubles up to lam = 50 while it is positive. So a coarse grid
-    whose discrete root lies outside the bounds still gets that root. A
-    coarse scan afterwards looks for further sign changes and warns if any
-    appear, skipping points whose slope it cannot certify; the smallest
-    bracketed root is returned.
+    Closed-form lower and upper bounds on phi'(lam)/lam cross the right-hand
+    side at lo and hi, widened by a relative 1e-6; [lo, hi] holds the root of
+    the exact balance before any profile is solved. From sqrt(lo hi), one
+    loop solves the profile and lam together (`_front_loop`): it converges
+    to the root of the converged discrete balance on the config's grid, to
+    a few ulps relative however small lam* is. Its lam is returned if it lies
+    in [lo, hi] and the profile solved there, which `solve_stefan` returns,
+    puts it within Brent's stopping distance of that profile's root
+    (lam |H/rhs - 1| <= 1e-12 + 4 eps lam). Otherwise the balance's own sign
+    decides a bracket: the low end halves while the balance is non-positive
+    there (down to lam = 1e-12), and the high end doubles up to lam = 50
+    while it is positive, so a coarse grid whose discrete root lies outside
+    the bounds still gets that root; Brent then finds it to 1e-12 plus 4 eps
+    relative. A coarse scan afterwards looks for further sign changes and
+    warns if any appear, skipping points whose slope it cannot certify; the
+    smallest bracketed root is returned.
 
     Raises
     ------
@@ -192,6 +214,30 @@ def solve_lambda(
     log_rhs = math.log(2.0) - math.log1p(beta) - math.log(ste)
     lo = max(_bound_crossing(_log_phi_prime_lower, beta, gamma, log_rhs) * (1.0 - _BOUND_PAD), _LAM_FLOOR)
     hi = min(_bound_crossing(_log_phi_prime_upper, beta, gamma, log_rhs) * (1.0 + _BOUND_PAD), _LAM_CAP)
+    root = _front_loop(beta, gamma, ste, config, math.sqrt(lo * hi))
+    if root is None or not lo <= root <= hi or not _balanced(root, rhs, beta, gamma, config):
+        root = _bracketed_root(balance, lo, hi)
+    _warn_on_extra_roots(root, balance_rhs=rhs, beta=beta, gamma=gamma)
+    return root
+
+
+def _balanced(lam: float, rhs: float, beta: float, gamma: float, config: SolverConfig) -> bool:
+    # Whether the profile solved at lam balances within Brent's stopping
+    # distance: lam |H/rhs - 1| <= 1e-12 + 4 eps lam. Since phi'' < 0,
+    # |d log H / d log lam| >= 1, so this puts lam that close to the root.
+    # A solve that fails here fails the loop's lam, not the front solve: the
+    # bracket then raises as it would alone (at gamma = inf, naming the
+    # threshold at its low end, not at lam).
+    try:
+        ratio = boundary_slope_ratio(lam, beta, gamma, config)
+    except (ContractionError, FixedPointError):
+        return False
+    return lam * abs(ratio - rhs) <= (_ROOT_TOL + _BRENT_RTOL * lam) * rhs
+
+
+def _bracketed_root(balance, lo: float, hi: float) -> float:
+    # Brent on the balance from the bound bracket [lo, hi], each end moved
+    # by the balance's sign as `solve_lambda` describes.
     f_lo = balance(lo)
     while f_lo <= 0.0:
         if f_lo == 0.0:
@@ -202,10 +248,78 @@ def solve_lambda(
         f_lo = balance(lo)
 
     # balance(lo) > 0 here, and rereading it is a hit in the profile cache.
-    bracket = bracket_root(balance, lo, hi, max_hi=_LAM_CAP)
-    root = find_root(balance, bracket)
-    _warn_on_extra_roots(root, balance_rhs=rhs, beta=beta, gamma=gamma)
-    return root
+    return find_root(balance, bracket_root(balance, lo, hi, max_hi=_LAM_CAP))
+
+
+# The front loop's cap on its Picard steps (and on the Newton steps between
+# two of them), and the size below which both of a step's updates, the
+# profile's (sup norm) and log lam's, count as rounding.
+_LOOP_MAX_STEPS = 50
+_LOOP_TOL = 1e-14
+
+
+def _front_loop(beta: float, gamma: float, ste: float, config: SolverConfig, lam0: float) -> float | None:
+    """lam* from a joint fixed-point loop over the profile and lam, started at lam0; None if it fails.
+
+    Landau's front-fixing variable xi = eta/lam puts every profile on the
+    nodes xi_i = i/(n-1) of [0, 1]. For a frozen profile u there,
+    A(xi) = int_0^xi s/Psi_u(s) ds does not depend on lam, and with
+    E = exp(-2 lam^2 A)/Psi_u the balance reads
+    H(lam) = E(1) / (lam/gamma + lam^2 S), S = int_0^1 E dxi. Psi_u(1) is
+    1 + beta, so the balance is F(t) = -2 lam^2 A(1) - log(lam/gamma +
+    lam^2 S) - log(2/Ste) = 0 in t = log lam, with
+    F'(t) = -4 lam^2 A(1) - (lam/gamma + 2 lam^2 S - 4 lam^4 int_0^1 A E dxi) / (lam/gamma + lam^2 S),
+    which is at most -1. Each loop step solves F = 0 by Newton in t, with
+    steps of at most 1, until a step falls to 1e-8 (the next would be
+    about its square), then takes one Picard step u <- T_lam u on lam's
+    nodes. The loop stops when both of a step's updates are at most
+    `_LOOP_TOL`. At its fixed point u is the Picard fixed point of T_lam on
+    grid_n nodes and the balance holds: the discrete problem `solve_lambda`
+    solves. None when the loop leaves [_LAM_FLOOR, _LAM_CAP], meets a
+    non-finite value or reaches `_LOOP_MAX_STEPS`.
+    """
+    n = config.grid_n
+    h = 1.0 / (n - 1)
+    inv_gamma, log_target = 1.0 / gamma, math.log(2.0) - math.log(ste)
+    xi, q = _uniform_nodes(1.0, n), _total_weights(n, h)
+    t = math.log(lam0)
+    u = _seed(_uniform_nodes(lam0, n), gamma)
+    nu, psi, weight, a, qae, e = np.empty((6, n))
+    work = _cumint_work((n,))
+    with _float_errors([(beta, gamma, _LAM_FLOOR)]):  # T is applied only at lam >= _LAM_FLOOR
+        for _ in range(_LOOP_MAX_STEPS):
+            # u's frozen balance: A, and the weights that integrate E and A E from e = exp(-2 lam^2 A).
+            np.multiply(u, beta, out=psi)
+            psi += 1.0
+            _cumint(np.divide(xi, psi, out=weight), h, out=a, work=work)
+            a_end = float(a[-1])
+            qe = np.divide(q, psi, out=psi)
+            np.multiply(a, qe, out=qae)
+            t_start = t
+            for _ in range(_LOOP_MAX_STEPS):
+                lam = math.exp(t)
+                l2 = lam * lam
+                np.exp(np.multiply(a, -2.0 * l2, out=e), out=e)
+                s, sa = float(qe @ e), float(qae @ e)
+                den = lam * inv_gamma + l2 * s
+                f = -2.0 * l2 * a_end - math.log(den) - log_target
+                dt = -f / (-4.0 * l2 * a_end - (lam * inv_gamma + 2.0 * l2 * s - 4.0 * l2 * l2 * sa) / den)
+                if not math.isfinite(dt):
+                    return None
+                t += max(-1.0, min(1.0, dt))
+                if abs(dt) <= 1e-8:
+                    break
+            lam = math.exp(t)
+            if not _LAM_FLOOR <= lam <= _LAM_CAP:
+                return None
+            _apply(u, _uniform_nodes(lam, n), lam / (n - 1), beta, inv_gamma, out=(nu, psi, weight, work))
+            residual = float(np.abs(np.subtract(u, nu, out=u), out=u).max())  # u is spent: reuse it
+            u, nu = nu, u
+            if residual <= _LOOP_TOL and abs(t - t_start) <= _LOOP_TOL:
+                return lam
+            if not residual < math.inf:  # nan
+                return None
+    return None
 
 
 def _log_phi_prime_lower(beta: float, gamma: float, lam: float) -> float:
@@ -240,7 +354,12 @@ def _bound_crossing(log_bound, beta: float, gamma: float, log_rhs: float) -> flo
     return math.exp(find_root(gap, RootBracket(lo, hi, f_lo, f_hi)))
 
 
-_SCAN_CONFIG = SolverConfig(grid_n=201, fp_tol=1e-8)
+# The scan reads only the sign of H - rhs, at points a factor of 2 or more
+# below the root and (50/root)^(1/7) above it, where H is far from rhs (59%
+# at least over the 3900 scan points of the benchmark's stefan_cases draws at
+# seed 1). A Picard stop at 1e-5 moves H there by at most a relative 1.2e-8
+# from the stop at 1e-8, and changed none of those signs.
+_SCAN_CONFIG = SolverConfig(grid_n=201, fp_tol=1e-5)
 
 
 def _warn_on_extra_roots(root: float, *, balance_rhs: float, beta: float, gamma: float) -> None:

@@ -101,7 +101,13 @@ class TestCsvCells:
         ]
         want = ["a,b,c,d,e,f,g,h"]
         want += [",".join(c if isinstance(c, str) else format(float(c), ".17g") for c in row) for row in rows]
-        assert cli._csv(["a", "b", "c", "d", "e", "f", "g", "h"], iter(rows)) == "\n".join(want) + "\n"
+        columns = [iter(column) for column in zip(*rows)]
+        assert cli._csv(["a", "b", "c", "d", "e", "f", "g", "h"], columns) == "\n".join(want) + "\n"
+
+    def test_array_columns_format_as_their_floats(self):
+        columns = [np.array([0.1, -0.0, 1e-300, np.inf]), np.array([3, -7, 2**53 + 1, 0]), ["x", "", "5%", "y"]]
+        want = ["a,b,c"] + [f"{format(float(a), '.17g')},{format(float(b), '.17g')},{c}" for a, b, c in zip(*columns)]
+        assert cli._csv(["a", "b", "c"], columns) == "\n".join(want) + "\n"
 
     def test_empty_table_is_its_header(self):
         assert cli._csv(["eta", "phi"], []) == "eta,phi\n"
@@ -489,15 +495,29 @@ class TestDirichlet:
         assert calls.count(math.inf) == 1
 
     def test_gammas_sharing_a_curve_file_are_rejected_before_solving(self, capsys, tmp_path):
-        # Both gammas print as "1" under %g, so the second curve would overwrite the first.
+        # Both gammas print as "5.87139" under %g, and so does the second
+        # one's repr, so the second curve would overwrite the first.
         curve_dir = tmp_path / "curves"
-        argv = ["dirichlet", "--beta", "0", "--lambda", "1", "--gamma", "1.0000001", "1.0000002", "--grid-n", "51"]
+        argv = ["dirichlet", "--beta", "0", "--lambda", "1", "--gamma", "5.871385339205846", "5.87139", "--grid-n", "51"]
         code, out, err = run(capsys, argv + ["--curve-dir", str(curve_dir)])
         assert code == 1
         assert out == "" and not curve_dir.exists()
-        assert "1.0000001" in err and "1.0000002" in err
+        assert "5.871385339205846" in err and "5.87139 " in err
         # Without curve files the pair is a valid table.
         assert run(capsys, argv)[0] == 0
+
+    @pytest.mark.parametrize("gammas", [["5.871385339205846", "5.871390121497058"], ["1.0000001", "1.0000002", "1.0000002"]])
+    def test_gammas_with_one_short_name_get_distinct_curve_files(self, capsys, tmp_path, gammas):
+        # The first keeps its %g name and a later, different gamma takes its
+        # repr; each file holds the curve its gamma writes when run alone.
+        argv = ["dirichlet", "--beta", "0", "--lambda", "1", "--grid-n", "51", "--gamma"]
+        assert run(capsys, [*argv, *gammas, "--curve-dir", str(tmp_path / "both")])[0] == 0
+        names = [f"curves_gamma_{format(float(gammas[0]), 'g')}.csv", f"curves_gamma_{gammas[1]}.csv"]
+        assert sorted(f.name for f in (tmp_path / "both").iterdir()) == sorted(names)
+        for i, (name, gamma) in enumerate(zip(names, gammas)):
+            assert run(capsys, [*argv, gamma, "--curve-dir", str(tmp_path / str(i))])[0] == 0
+            (alone,) = (tmp_path / str(i)).iterdir()
+            assert (tmp_path / "both" / name).read_bytes() == alone.read_bytes()
 
     def test_repeated_gamma_shares_its_curve_file(self, capsys, tmp_path):
         curve_dir = tmp_path / "curves"

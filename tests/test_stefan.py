@@ -184,18 +184,48 @@ class TestSolveLambda:
             solve_lambda(0.1, gamma, 1.0)
 
     def test_readme_case_solves_few_profiles(self, monkeypatch):
-        # The bound bracket holds lam* before any profile is solved, so the
-        # root search solves at most 7 profiles on the case's grid; the
-        # multiplicity scan solves 13 on its own.
+        # The front loop needs no profile solve of its own: the one solve on
+        # the case's grid checks its lam* and is the profile solve_stefan
+        # returns; the multiplicity scan solves 13 on its own.
         solved = []
         real = stefan.solve_gme
         monkeypatch.setattr(stefan, "solve_gme", lambda params, config: solved.append(config) or real(params, config))
         _solved.cache_clear()
         sol = solve_stefan(sample_physical(l=2.0), DEFAULT_CONFIG)
         assert sol.lambda_star == pytest.approx(0.59487, abs=1e-5)
-        assert solved.count(DEFAULT_CONFIG) <= 7
-        assert solved.count(_SCAN_CONFIG) <= 13
+        assert solved.count(DEFAULT_CONFIG) == 1
+        assert solved.count(_SCAN_CONFIG) == 13
         assert len(solved) == _solved.cache_info().misses
+
+    @pytest.mark.parametrize("ste", [2e-7, 2e-4])
+    def test_tiny_front_coefficient_is_accurate_in_relative_terms(self, ste):
+        # At beta = 0 the balance is lam e^{lam^2} (1 + sqrt(pi) (gamma/2) erf lam)
+        # = (gamma/2) Ste, whose left side has a log-derivative near 1 here:
+        # its relative residual is lambda*'s relative error, at lambda*
+        # about 1e-7 and 1e-4. Brent's absolute step of 1e-12 alone allows
+        # 1e-5 and 1e-8.
+        gamma = 1.0
+        lam = solve_lambda(0.0, gamma, ste)
+        lhs = lam * math.exp(lam * lam) * (1.0 + SQRT_PI * (gamma / 2.0) * math.erf(lam))
+        assert abs(lhs / ((gamma / 2.0) * ste) - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("beta, gamma, ste", [(0.2, math.inf, 0.01), (0.3, math.inf, 10.0), (0.5, 1.0, 1.0)])
+    def test_uncertified_slope_is_refused_as_by_the_bracket(self, monkeypatch, beta, gamma, ste):
+        # The loop converges here, but its lam fails the check solve; the
+        # bracket then refuses the slope with the message it gives alone,
+        # which at gamma = inf names the threshold at the bracket's low end.
+        with pytest.raises(ContractionError) as loop:
+            solve_lambda(beta, gamma, ste)
+        monkeypatch.setattr(stefan, "_front_loop", lambda *args: None)
+        with pytest.raises(ContractionError) as alone:
+            solve_lambda(beta, gamma, ste)
+        assert str(loop.value) == str(alone.value)
+
+    def test_bracketed_root_is_kept_when_the_loop_fails(self, monkeypatch):
+        # Without the loop, the bracket and Brent give the README case's root.
+        monkeypatch.setattr(stefan, "_front_loop", lambda *args: None)
+        p = sample_physical(l=2.0)
+        assert solve_lambda(p.beta, p.gamma, p.ste, DEFAULT_CONFIG) == 0.5948731740885462
 
     @pytest.mark.parametrize("gamma, ste, grid_n, below", [(1.0, 3.0, 5, True), (0.5, 20.0, 3, False)])
     def test_coarse_root_outside_the_bound_bracket_matches_bisection(self, gamma, ste, grid_n, below):
@@ -250,6 +280,52 @@ class TestSolveLambda:
         assert record[0].filename == __file__
         near = float(str(record[0].message).split("near lam=")[1].split(";")[0])
         assert window[0] < near < window[1]
+
+
+def front_draws(rng, k):
+    # k (beta, gamma, Ste) cases: gamma log-uniform in [1e-4, 1e4], every
+    # seventh gamma = inf; beta below 0.9 or in [0.9, 0.99] of the certified
+    # threshold (at gamma = inf, the threshold at the beta = 0 root); Ste
+    # log-uniform in [1e-3, 1e2].
+    cases = []
+    for i in range(k):
+        gamma = math.inf if i % 7 == 0 else 10.0 ** rng.uniform(-4.0, 4.0)
+        frac = rng.uniform(0.0, 0.9) if i % 2 else rng.uniform(0.9, 0.99)
+        ste = 10.0 ** rng.uniform(-3.0, 2.0)
+        if math.isinf(gamma):
+            threshold = dirichlet_contraction_threshold(solve_lambda(0.0, gamma, ste, SolverConfig(grid_n=201)))
+        else:
+            threshold = contraction_threshold(gamma)
+        cases.append((frac * threshold, gamma, ste))
+    return cases
+
+
+class TestFrontLoop:
+    @pytest.mark.parametrize("grid_n", [201, 1001])
+    def test_matches_the_bracketed_root_on_seeded_draws(self, monkeypatch, grid_n):
+        # The loop's lambda* is accepted on every draw and lies within
+        # Brent's stopping distance of the bracketed root. Against a
+        # converged solve on the same grid, its balance error lam |H/rhs - 1|
+        # is at most the bracketed root's, or at rounding level. The scan is
+        # off: it does not move the root.
+        eps = math.ulp(1.0)
+        config, converged = SolverConfig(grid_n=grid_n), SolverConfig(grid_n=grid_n, fp_tol=1e-15)
+        real_loop, loops = stefan._front_loop, []
+        monkeypatch.setattr(stefan, "_warn_on_extra_roots", lambda *args, **kwargs: None)
+
+        def balance_error(lam, beta, gamma, ste):
+            rhs = 2.0 / ((1.0 + beta) * ste)
+            return lam * abs(solve_gme(GMEParams(beta, gamma, lam), converged).phi_prime_lambda / lam / rhs - 1.0)
+
+        for beta, gamma, ste in front_draws(np.random.default_rng(21), 100):
+            monkeypatch.setattr(stefan, "_front_loop", lambda *args: loops.append(real_loop(*args)) or loops[-1])
+            lam = solve_lambda(beta, gamma, ste, config)
+            assert loops[-1] == lam, (beta, gamma, ste)
+            monkeypatch.setattr(stefan, "_front_loop", lambda *args: None)
+            root = solve_lambda(beta, gamma, ste, config)
+            assert abs(lam - root) <= 1e-12 + 4.0 * eps * root, (beta, gamma, ste)
+            off = balance_error(lam, beta, gamma, ste)
+            assert off <= max(balance_error(root, beta, gamma, ste), 32.0 * eps * lam), (beta, gamma, ste)
 
 
 class TestSolveStefan:

@@ -28,7 +28,8 @@ The runs are:
   workload, whose quartiles should contain 1.
 
 Before timing, an untimed pass counts per side the profile solves per call
-(per op at L4) and the Picard iterations per solve, and checks that both sides give the
+(per op at L4), the Picard iterations per solve, and the front loop's
+operator applications and fallbacks per call, and checks that both sides give the
 same bits (profiles, ``lambda*`` and field reads, the CLI's CSV files, a
 ``profile_fine`` solution's profile and numbers). Workload ops are checked
 with the workload's own ``check``.
@@ -92,27 +93,43 @@ class Side:
 
 
 class Counts:
-    """Counts profile solves and their Picard iterations while active.
+    """Counts profile solves, their Picard iterations and the front loop's work while active.
 
     Wraps ``solve_gme`` where the package binds it and ``_solve_rows`` where
-    the CLI and the front solve call it, so each solve is counted once.
+    the CLI and the front solve call it, so each solve is counted once. The
+    front loop (``stefan._front_loop``) is counted by its operator
+    applications (``stefan._apply``, which only the loop calls there) and its
+    fallbacks to the bracket and Brent (``stefan._bracketed_root``); a tree
+    without these names counts 0 of each.
     """
 
     def __init__(self, side: Side):
-        self.side, self.solves, self.iterations, self._saved = side, 0, 0, []
+        self.side, self._saved = side, []
+        self.solves = self.iterations = self.applications = self.fallbacks = 0
 
-    def _wrap(self, module, attr, rows):
-        original = getattr(module, attr)
+    def _solved(self, out):
+        self.solves += 1
+        self.iterations += out.iterations
+
+    def _rows(self, out):
+        ok = [exc is None for exc in out.errors]
+        self.solves += len(ok)
+        self.iterations += int(np.sum(out.iterations[ok]))
+
+    def _applied(self, out):
+        self.applications += 1
+
+    def _fell_back(self, out):
+        self.fallbacks += 1
+
+    def _wrap(self, module, attr, tally):
+        original = getattr(module, attr, None)
+        if original is None:
+            return
 
         def counted(*args, **kwargs):
             out = original(*args, **kwargs)
-            if rows:
-                ok = [exc is None for exc in out.errors]
-                self.solves += len(ok)
-                self.iterations += int(np.sum(out.iterations[ok]))
-            else:
-                self.solves += 1
-                self.iterations += out.iterations
+            tally(out)
             return out
 
         self._saved.append((module, attr, original))
@@ -121,9 +138,12 @@ class Counts:
     def __enter__(self):
         s = self.side
         for module in (s.fixed_point, s.stefan, s.cli):
-            self._wrap(module, "solve_gme", rows=False)
+            self._wrap(module, "solve_gme", self._solved)
         for module in (s.stefan, s.cli):
-            self._wrap(module, "_solve_rows", rows=True)
+            self._wrap(module, "_solve_rows", self._rows)
+        if hasattr(s.stefan, "_front_loop"):
+            self._wrap(s.stefan, "_apply", self._applied)
+            self._wrap(s.stefan, "_bracketed_root", self._fell_back)
         return self
 
     def __exit__(self, *exc):
@@ -217,6 +237,8 @@ def paired(name, layer, sides, build, counted=True):
             record["counts"][label] = {
                 "profile_solves_per_call": c.solves / (k * calls),
                 "picard_iters_per_solve": c.iterations / c.solves if c.solves else 0.0,
+                "loop_applications_per_call": c.applications / (k * calls),
+                "loop_fallbacks_per_call": c.fallbacks / (k * calls),
             }
         record["outputs_identical"] = outputs[0] == outputs[1]
     times = [[], []]
