@@ -39,6 +39,7 @@ from .numerics import _require
 from .stefan import (
     PhysicalParams,
     _dirichlet_comparison,
+    _slope_ratio,
     front_position,
     solve_stefan,
     temperature,
@@ -137,7 +138,7 @@ def _cmd_hscan(args: argparse.Namespace) -> int:
     lams = np.linspace(args.lmin, args.lmax, args.steps)
     rows = _solve_rows([(args.beta, args.gamma, float(lam)) for lam in lams], config)
     _raise_first(rows.errors)
-    _emit(_csv(["lambda", "H"], [lams, rows.phi_prime_lambda / lams]), args.out)
+    _emit(_csv(["lambda", "H"], [lams, list(map(_slope_ratio, rows.phi_prime_lambda.tolist(), lams.tolist()))]), args.out)
     return EXIT_OK
 
 

@@ -295,23 +295,6 @@ def _cumint_work_size(n: int) -> int:
     return (n - 1) // 2 + 2 * ((n - 2) // 2)
 
 
-def _total_weights(n: int, h: float) -> np.ndarray:
-    """Weights q of n nodes with q @ v = `_cumint(v, h)[-1]` up to rounding: the total as one dot product.
-
-    Simpson's 1, 4, 2, ..., 4, 1 (times h/3) up to the last even node and,
-    for even n, the closing panel's -1, 8, 5 (times h/12) on the last three
-    nodes. The floor `_cumint` puts on a negative closing panel is not applied.
-    """
-    m = 2 * ((n - 1) // 2)  # last even node
-    q = np.zeros(n)
-    q[0 : m + 1 : 2] = 2.0 * h / 3.0
-    q[1:m:2] = 4.0 * h / 3.0
-    q[0] = q[m] = h / 3.0
-    if m < n - 1:
-        q[n - 3 :] += np.array([-1.0, 8.0, 5.0]) * (h / 12.0)
-    return q
-
-
 def _floor_panels(panel: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
     # Sets to zero, in place, each negative closing panel whose samples a, b, c
     # are all non-negative; the sample test runs only when a panel is negative.

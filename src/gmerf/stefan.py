@@ -51,10 +51,8 @@ from .numerics import (
     _ROOT_TOL,
     SQRT_PI,
     RootBracket,
-    _cumint,
     _cumint_work,
     _require,
-    _total_weights,
     _uniform_nodes,
     bracket_root,
     erf,
@@ -160,15 +158,22 @@ def _solved(beta: float, gamma: float, lam: float, config: SolverConfig) -> GMES
 def boundary_slope_ratio(
     lam: float, beta: float, gamma: float, config: SolverConfig = DEFAULT_CONFIG
 ) -> float:
-    """phi'(lam) / lam for the profile solved at (beta, gamma, lam).
+    """phi'(lam) / lam, as a float, for the profile solved (or reused from a cache) at (beta, gamma, lam).
 
-    Strictly positive; lam * ratio tends to gamma/(1+beta) as lam -> 0 and
-    the ratio itself decays to 0 as lam grows. Solves (or reuses) the profile
-    at the given parameters, so repeated scans over lam are cached. The
-    `GMEParams` of that profile rejects out-of-range arguments (ValueError).
+    lam * ratio tends to gamma/(1+beta) as lam -> 0; the ratio decays toward
+    0 as lam grows and may underflow to 0. Out-of-range arguments, and a
+    ratio that overflows (at a subnormal lam), raise ValueError.
     """
     sol = _solved(beta, gamma, lam, config)
-    return sol.phi_prime_lambda / sol.params.lam
+    return _slope_ratio(sol.phi_prime_lambda, sol.params.lam)
+
+
+def _slope_ratio(phi_prime_lambda: float, lam: float) -> float:
+    """H = phi'(lam)/lam as a float; ValueError naming lam where it is not finite."""
+    ratio = float(phi_prime_lambda) / float(lam)
+    if not math.isfinite(ratio):
+        raise ValueError(f"phi'(lam)/lam = {ratio} is not finite at lam={float(lam)!r}")
+    return ratio
 
 
 def solve_lambda(
@@ -178,20 +183,20 @@ def solve_lambda(
 
     Closed-form lower and upper bounds on phi'(lam)/lam cross the right-hand
     side at lo and hi, widened by a relative 1e-6; [lo, hi] holds the root of
-    the exact balance before any profile is solved. From sqrt(lo hi), one
-    loop solves the profile and lam together (`_front_loop`): it converges
-    to the root of the converged discrete balance on the config's grid, to
-    a few ulps relative however small lam* is. Its lam is returned if it lies
-    in [lo, hi] and the profile solved there, which `solve_stefan` returns,
-    puts it within Brent's stopping distance of that profile's root
-    (lam |H/rhs - 1| <= 1e-12 + 4 eps lam). Otherwise the balance's own sign
-    decides a bracket: the low end halves while the balance is non-positive
-    there (down to lam = 1e-12), and the high end doubles up to lam = 50
-    while it is positive, so a coarse grid whose discrete root lies outside
-    the bounds still gets that root; Brent then finds it to 1e-12 plus 4 eps
-    relative. A coarse scan afterwards looks for further sign changes and
-    warns if any appear, skipping points whose slope it cannot certify; the
-    smallest bracketed root is returned.
+    the exact balance before any profile is solved. From sqrt(lo hi), one loop
+    solves the profile and lam together, one operator application per step
+    (`_front_loop`): it converges to the converged discrete balance's root on
+    the config's grid, to a few ulps relative however small lam* is. Its lam
+    is returned if it lies in [lo, hi] and the profile solved there, which
+    `solve_stefan` returns, puts it within Brent's stopping distance of that
+    profile's root (lam |H/rhs - 1| <= 1e-12 + 4 eps lam). Otherwise the
+    balance's own sign decides a bracket: the low end halves while the balance
+    is non-positive there (down to lam = 1e-12), and the high end doubles up
+    to lam = 50 while it is positive, so a coarse grid whose discrete root
+    lies outside the bounds still gets that root; Brent then finds it to 1e-12
+    plus 4 eps relative. A coarse scan afterwards looks for further sign
+    changes and warns if any appear, skipping points whose slope it cannot
+    certify; the smallest bracketed root is returned.
 
     Raises
     ------
@@ -214,7 +219,7 @@ def solve_lambda(
     log_rhs = math.log(2.0) - math.log1p(beta) - math.log(ste)
     lo = max(_bound_crossing(_log_phi_prime_lower, beta, gamma, log_rhs) * (1.0 - _BOUND_PAD), _LAM_FLOOR)
     hi = min(_bound_crossing(_log_phi_prime_upper, beta, gamma, log_rhs) * (1.0 + _BOUND_PAD), _LAM_CAP)
-    root = _front_loop(beta, gamma, ste, config, math.sqrt(lo * hi))
+    root = _front_loop(beta, gamma, rhs, config, math.sqrt(lo * hi))
     if root is None or not lo <= root <= hi or not _balanced(root, rhs, beta, gamma, config):
         root = _bracketed_root(balance, lo, hi)
     _warn_on_extra_roots(root, balance_rhs=rhs, beta=beta, gamma=gamma)
@@ -251,73 +256,44 @@ def _bracketed_root(balance, lo: float, hi: float) -> float:
     return find_root(balance, bracket_root(balance, lo, hi, max_hi=_LAM_CAP))
 
 
-# The front loop's cap on its Picard steps (and on the Newton steps between
-# two of them), and the size below which both of a step's updates, the
-# profile's (sup norm) and log lam's, count as rounding.
+# The front loop's step cap, and the size at which both of a step's updates (the
+# profile's sup norm and log lam's) are rounding: 1e-14 doubles the worst balance error.
 _LOOP_MAX_STEPS = 50
-_LOOP_TOL = 1e-14
+_LOOP_TOL = 1e-15
 
 
-def _front_loop(beta: float, gamma: float, ste: float, config: SolverConfig, lam0: float) -> float | None:
-    """lam* from a joint fixed-point loop over the profile and lam, started at lam0; None if it fails.
+def _front_loop(beta: float, gamma: float, rhs: float, config: SolverConfig, lam: float) -> float | None:
+    """lam* from a joint fixed-point loop over the profile and lam, started at lam; None if it fails.
 
-    Landau's front-fixing variable xi = eta/lam puts every profile on the
-    nodes xi_i = i/(n-1) of [0, 1]. For a frozen profile u there,
-    A(xi) = int_0^xi s/Psi_u(s) ds does not depend on lam, and with
-    E = exp(-2 lam^2 A)/Psi_u the balance reads
-    H(lam) = E(1) / (lam/gamma + lam^2 S), S = int_0^1 E dxi. Psi_u(1) is
-    1 + beta, so the balance is F(t) = -2 lam^2 A(1) - log(lam/gamma +
-    lam^2 S) - log(2/Ste) = 0 in t = log lam, with
-    F'(t) = -4 lam^2 A(1) - (lam/gamma + 2 lam^2 S - 4 lam^4 int_0^1 A E dxi) / (lam/gamma + lam^2 S),
-    which is at most -1. Each loop step solves F = 0 by Newton in t, with
-    steps of at most 1, until a step falls to 1e-8 (the next would be
-    about its square), then takes one Picard step u <- T_lam u on lam's
-    nodes. The loop stops when both of a step's updates are at most
-    `_LOOP_TOL`. At its fixed point u is the Picard fixed point of T_lam on
-    grid_n nodes and the balance holds: the discrete problem `solve_lambda`
-    solves. None when the loop leaves [_LAM_FLOOR, _LAM_CAP], meets a
-    non-finite value or reaches `_LOOP_MAX_STEPS`.
+    On Landau's front-fixing variable xi = eta/lam the profile u keeps its
+    nodes. Each step is one operator application u <- T_lam u, whose D and
+    E(lam) give u's balance F = log(D E(lam) / (lam rhs)), a ratio first so
+    that F rounds to a few eps at the root for any rhs, and move log lam by
+    F / (2 + 4 I - D/gamma), I = -log((1+beta) E(lam))/2, clipped to +-1.
+    The divisor is |F'| >= 1, the frozen balance's slope, plus
+    4 lam^4 int_0^1 A E dxi / (lam/gamma + lam^2 int_0^1 E dxi) >= 0 (A the
+    inner integral): no step exceeds the frozen Newton step. When both
+    updates are at most `_LOOP_TOL`, u is T_lam's Picard fixed point on
+    grid_n nodes and the balance holds. None if lam leaves [_LAM_FLOOR,
+    _LAM_CAP], F or an update is not finite, or `_LOOP_MAX_STEPS` pass.
     """
-    n = config.grid_n
-    h = 1.0 / (n - 1)
-    inv_gamma, log_target = 1.0 / gamma, math.log(2.0) - math.log(ste)
-    xi, q = _uniform_nodes(1.0, n), _total_weights(n, h)
-    t = math.log(lam0)
-    u = _seed(_uniform_nodes(lam0, n), gamma)
-    nu, psi, weight, a, qae, e = np.empty((6, n))
-    work = _cumint_work((n,))
+    n, inv_gamma = config.grid_n, 1.0 / gamma
+    u = _seed(_uniform_nodes(lam, n), gamma)
+    nu, psi, weight, work = *np.empty((3, n)), _cumint_work((n,))
     with _float_errors([(beta, gamma, _LAM_FLOOR)]):  # T is applied only at lam >= _LAM_FLOOR
         for _ in range(_LOOP_MAX_STEPS):
-            # u's frozen balance: A, and the weights that integrate E and A E from e = exp(-2 lam^2 A).
-            np.multiply(u, beta, out=psi)
-            psi += 1.0
-            _cumint(np.divide(xi, psi, out=weight), h, out=a, work=work)
-            a_end = float(a[-1])
-            qe = np.divide(q, psi, out=psi)
-            np.multiply(a, qe, out=qae)
-            t_start = t
-            for _ in range(_LOOP_MAX_STEPS):
-                lam = math.exp(t)
-                l2 = lam * lam
-                np.exp(np.multiply(a, -2.0 * l2, out=e), out=e)
-                s, sa = float(qe @ e), float(qae @ e)
-                den = lam * inv_gamma + l2 * s
-                f = -2.0 * l2 * a_end - math.log(den) - log_target
-                dt = -f / (-4.0 * l2 * a_end - (lam * inv_gamma + 2.0 * l2 * s - 4.0 * l2 * l2 * sa) / den)
-                if not math.isfinite(dt):
-                    return None
-                t += max(-1.0, min(1.0, dt))
-                if abs(dt) <= 1e-8:
-                    break
-            lam = math.exp(t)
-            if not _LAM_FLOOR <= lam <= _LAM_CAP:
-                return None
-            _apply(u, _uniform_nodes(lam, n), lam / (n - 1), beta, inv_gamma, out=(nu, psi, weight, work))
+            _, d, e = _apply(u, _uniform_nodes(lam, n), lam / (n - 1), beta, inv_gamma, out=(nu, psi, weight, work))
             residual = float(np.abs(np.subtract(u, nu, out=u), out=u).max())  # u is spent: reuse it
             u, nu = nu, u
-            if residual <= _LOOP_TOL and abs(t - t_start) <= _LOOP_TOL:
+            d, e_lam = float(d), float(e[-1])
+            balance = d * e_lam / lam / rhs
+            if not (0.0 < balance < math.inf and residual < math.inf):
+                return None
+            dt = math.log(balance) / (2.0 - 2.0 * math.log((1.0 + beta) * e_lam) - d * inv_gamma)
+            lam *= math.exp(max(-1.0, min(1.0, dt)))
+            if residual <= _LOOP_TOL and abs(dt) <= _LOOP_TOL:
                 return lam
-            if not residual < math.inf:  # nan
+            if not _LAM_FLOOR <= lam <= _LAM_CAP:
                 return None
     return None
 

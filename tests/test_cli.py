@@ -282,6 +282,15 @@ class TestHscan:
         assert out == ""
         assert "contraction threshold" in err
 
+    def test_overflowing_ratio_is_a_one_line_usage_error(self, capsys):
+        # phi'(lam)/lam overflows at a subnormal lam: no table is written.
+        argv = ["hscan", "--beta", "0.1", "--gamma", "1", "--lmin", "1e-320", "--lmax", "1e-319", "--steps", "2", "--grid-n", "51"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "gmerf: error: phi'(lam)/lam = inf is not finite at lam=1e-320\n"
+
     def test_range_touching_zero_is_rejected(self, capsys):
         code, _, err = run(capsys, ["hscan", "--beta", "0", "--gamma", "1", "--lmin", "0", "--lmax", "2", "--steps", "3"])
         assert code == 1

@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from gmerf import stefan
-from gmerf.errors import BracketError, ContractionError
+from gmerf.errors import BracketError, ContractionError, FixedPointError
 from gmerf.fixed_point import (
     DEFAULT_CONFIG,
     GMEParams,
     SolverConfig,
+    _apply,
     contraction_threshold,
     dirichlet_contraction_threshold,
     solve_gme,
 )
+from gmerf.numerics import _uniform_nodes
 from gmerf.stefan import (
     _BOUND_PAD,
     _SCAN_CONFIG,
@@ -103,6 +105,18 @@ class TestBoundarySlopeRatio:
     def test_rejects_nonpositive_lam(self):
         with pytest.raises(ValueError):
             boundary_slope_ratio(0.0, 0.1, 1.0)
+
+    def test_returns_python_floats_that_may_underflow_to_zero(self):
+        assert type(boundary_slope_ratio(0.5, 0.1, 1.0)) is float
+        huge = boundary_slope_ratio(1e200, 0.0, 1.0)
+        assert type(huge) is float and huge == 0.0
+
+    def test_overflow_at_a_subnormal_lam_is_refused_naming_lam(self):
+        # phi'(lam) is about gamma/(1+beta) there: its ratio to lam overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"is not finite at lam=1e-320$"):
+                boundary_slope_ratio(1e-320, 0.1, 1.0)
 
     def test_solutions_are_cached_per_process(self):
         a = _solved(0.1, 1.0, 1.25, DEFAULT_CONFIG)
@@ -326,6 +340,68 @@ class TestFrontLoop:
             assert abs(lam - root) <= 1e-12 + 4.0 * eps * root, (beta, gamma, ste)
             off = balance_error(lam, beta, gamma, ste)
             assert off <= max(balance_error(root, beta, gamma, ste), 32.0 * eps * lam), (beta, gamma, ste)
+
+    @pytest.mark.parametrize("grid_n", [5, 201])
+    @pytest.mark.parametrize("frac", [0.0, 0.999])
+    @pytest.mark.parametrize("ste", [1e-10, 1e-4, 1.0, 1e4])
+    @pytest.mark.parametrize("gamma", [1e-4, 1.0, 1e4, math.inf])
+    def test_edges_agree_with_the_bracketed_root(self, monkeypatch, gamma, ste, frac, grid_n):
+        # Tiny and huge gamma and Ste, slopes at the certified threshold and
+        # a 5-node grid: the front solve gives the bracketed root to within
+        # Brent's stopping distance, or raises what the bracket raises alone.
+        # At gamma = inf the threshold is taken at the beta = 0 root. The
+        # certified range grows with lam there, so a slope may be certified
+        # at lambda* but not at the bracket's low end: the bracket alone
+        # then refuses it (at Ste = 1), while the loop's lambda* balances and
+        # is certified, which its check solve proves.
+        config = SolverConfig(grid_n=grid_n)
+        if math.isinf(gamma):
+            threshold = dirichlet_contraction_threshold(solve_lambda(0.0, gamma, ste, SolverConfig(grid_n=201)))
+        else:
+            threshold = contraction_threshold(gamma)
+        beta = frac * threshold
+        monkeypatch.setattr(stefan, "_warn_on_extra_roots", lambda *args, **kwargs: None)
+
+        def outcome():
+            _solved.cache_clear()
+            try:
+                return solve_lambda(beta, gamma, ste, config)
+            except (BracketError, ContractionError, FixedPointError) as exc:
+                return type(exc), str(exc)
+
+        lam = outcome()
+        monkeypatch.setattr(stefan, "_front_loop", lambda *args: None)
+        root = outcome()
+        if isinstance(root, float):
+            assert isinstance(lam, float) and abs(lam - root) <= 1e-12 + 4.0 * math.ulp(1.0) * root
+        elif math.isinf(gamma) and root[0] is ContractionError and isinstance(lam, float):
+            rhs = 2.0 / ((1.0 + beta) * ste)
+            assert beta < dirichlet_contraction_threshold(lam)
+            assert lam * abs(boundary_slope_ratio(lam, beta, gamma, config) - rhs) <= (1e-12 + 4.0 * math.ulp(1.0) * lam) * rhs
+        else:
+            assert lam == root
+
+    def test_step_divisor_bounds_the_frozen_balance_slope(self):
+        # The loop divides the balance F of its frozen profile by
+        # 2 + 4 I - D/gamma, I = -log((1+beta) E(lam))/2, in log lam. That
+        # divisor is at least |F'|, which is at least 1 since phi'' < 0, so
+        # no step is longer than the frozen Newton step. F' is a centred
+        # difference of F at the profile's xi-node values.
+        rng, h, n = np.random.default_rng(24), 1e-5, 201
+
+        def frozen(u, beta, gamma, lam):
+            _, d, e = _apply(u, _uniform_nodes(lam, n), lam / (n - 1), beta, 1.0 / gamma)
+            return math.log(d * e[-1] / lam), 2.0 + 4.0 * (-math.log((1.0 + beta) * e[-1]) / 2.0) - d / gamma
+
+        for i in range(40):
+            gamma = math.inf if i % 5 == 0 else 10.0 ** rng.uniform(-4.0, 4.0)
+            lam = 10.0 ** rng.uniform(-3.0, 0.7)
+            threshold = dirichlet_contraction_threshold(lam) if math.isinf(gamma) else contraction_threshold(gamma)
+            beta = rng.uniform(0.0, 0.99) * threshold
+            u = solve_gme(GMEParams(beta, gamma, lam), SolverConfig(grid_n=n)).phi.values
+            slope = (frozen(u, beta, gamma, lam * math.exp(h))[0] - frozen(u, beta, gamma, lam * math.exp(-h))[0]) / (2.0 * h)
+            divisor = frozen(u, beta, gamma, lam)[1]
+            assert 1.0 - 1e-8 <= abs(slope) <= abs(divisor) * (1.0 + 1e-8), (beta, gamma, lam)
 
 
 class TestSolveStefan:

@@ -28,7 +28,8 @@ The runs are:
   workload, whose quartiles should contain 1.
 
 Before timing, an untimed pass counts per side the profile solves per call
-(per op at L4), the Picard iterations per solve, and the front loop's
+(per op at L4), the Picard iterations per solve, the quadrature passes per
+call, all of them and those inside the front loop, and the front loop's
 operator applications and fallbacks per call, and checks that both sides give the
 same bits (profiles, ``lambda*`` and field reads, the CLI's CSV files, a
 ``profile_fine`` solution's profile and numbers). Workload ops are checked
@@ -85,7 +86,7 @@ class Side:
         tmp.mkdir()
         self.pkg, self.tmp = pkg, tmp
         self.modules = {"gmerf": pkg, **{f"gmerf.{sub}": getattr(pkg, sub) for sub in SUBMODULES}}
-        self.fixed_point, self.stefan, self.cli = pkg.fixed_point, pkg.stefan, pkg.cli
+        self.numerics, self.fixed_point, self.stefan, self.cli = pkg.numerics, pkg.fixed_point, pkg.stefan, pkg.cli
 
     def clear_caches(self):
         self.stefan._solved.cache_clear()
@@ -93,19 +94,24 @@ class Side:
 
 
 class Counts:
-    """Counts profile solves, their Picard iterations and the front loop's work while active.
+    """Counts profile solves, their Picard iterations, quadrature passes and the front loop's work while active.
 
     Wraps ``solve_gme`` where the package binds it and ``_solve_rows`` where
-    the CLI and the front solve call it, so each solve is counted once. The
+    the CLI and the front solve call it, so each solve is counted once.
+    Quadrature passes are ``_cumint`` calls, wrapped at each module that
+    binds it, so each call is counted once whichever module makes it. The
     front loop (``stefan._front_loop``) is counted by its operator
-    applications (``stefan._apply``, which only the loop calls there) and its
-    fallbacks to the bracket and Brent (``stefan._bracketed_root``); a tree
-    without these names counts 0 of each.
+    applications (``stefan._apply``, which only the loop calls there), the
+    quadrature passes made while it runs, and its fallbacks to the bracket
+    and Brent (``stefan._bracketed_root``); a tree without these names
+    counts 0 of each.
     """
 
     def __init__(self, side: Side):
         self.side, self._saved = side, []
         self.solves = self.iterations = self.applications = self.fallbacks = 0
+        self.passes = self.loop_passes = 0
+        self._in_loop = False
 
     def _solved(self, out):
         self.solves += 1
@@ -122,6 +128,10 @@ class Counts:
     def _fell_back(self, out):
         self.fallbacks += 1
 
+    def _integrated(self, out):
+        self.passes += 1
+        self.loop_passes += self._in_loop
+
     def _wrap(self, module, attr, tally):
         original = getattr(module, attr, None)
         if original is None:
@@ -135,15 +145,32 @@ class Counts:
         self._saved.append((module, attr, original))
         setattr(module, attr, counted)
 
+    def _mark_loop(self, module):
+        # Flags the quadrature passes made while the front loop runs.
+        original = module._front_loop
+
+        def looped(*args, **kwargs):
+            self._in_loop = True
+            try:
+                return original(*args, **kwargs)
+            finally:
+                self._in_loop = False
+
+        self._saved.append((module, "_front_loop", original))
+        module._front_loop = looped
+
     def __enter__(self):
         s = self.side
         for module in (s.fixed_point, s.stefan, s.cli):
             self._wrap(module, "solve_gme", self._solved)
         for module in (s.stefan, s.cli):
             self._wrap(module, "_solve_rows", self._rows)
+        for module in (s.numerics, s.fixed_point, s.stefan):
+            self._wrap(module, "_cumint", self._integrated)
         if hasattr(s.stefan, "_front_loop"):
             self._wrap(s.stefan, "_apply", self._applied)
             self._wrap(s.stefan, "_bracketed_root", self._fell_back)
+            self._mark_loop(s.stefan)
         return self
 
     def __exit__(self, *exc):
@@ -237,7 +264,9 @@ def paired(name, layer, sides, build, counted=True):
             record["counts"][label] = {
                 "profile_solves_per_call": c.solves / (k * calls),
                 "picard_iters_per_solve": c.iterations / c.solves if c.solves else 0.0,
+                "quadrature_passes_per_call": c.passes / (k * calls),
                 "loop_applications_per_call": c.applications / (k * calls),
+                "loop_quadrature_passes_per_call": c.loop_passes / (k * calls),
                 "loop_fallbacks_per_call": c.fallbacks / (k * calls),
             }
         record["outputs_identical"] = outputs[0] == outputs[1]
