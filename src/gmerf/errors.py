@@ -21,7 +21,7 @@ class GmerfError(Exception):
 
 
 class BracketError(GmerfError):
-    """A root bracket is invalid or could not be established."""
+    """A root bracket is invalid or could not be established, or a root lies outside the searched range."""
 
 
 class RootConvergenceError(GmerfError):

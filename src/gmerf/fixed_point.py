@@ -391,8 +391,7 @@ def _certified(beta: float, gamma: float, lam: float, allow_unproven: bool) -> b
     if not certified and not allow_unproven:
         raise ContractionError(
             f"beta={beta:g} is at or above the certified contraction "
-            f"threshold {threshold:.6g} for this problem; pass "
-            f"allow_unproven=True to attempt the solve anyway"
+            f"threshold {threshold:.6g} for this problem"
         )
     return certified
 

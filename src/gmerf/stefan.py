@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BracketError, ContractionError, FixedPointError
+from .errors import BracketError, ContractionError, FixedPointError, RootConvergenceError
 from .fixed_point import (
     DEFAULT_CONFIG,
     GMEParams,
@@ -54,7 +54,6 @@ from .numerics import (
     _cumint_work,
     _require,
     _uniform_nodes,
-    bracket_root,
     erf,
     find_root,
 )
@@ -72,9 +71,8 @@ __all__ = [
     "phi_prime_bounds",
 ]
 
-# Front coefficient search: growth cap, floor while shrinking toward 0 for
-# very small Stefan numbers, and the relative pad around the bound crossings
-# that start the bracket.
+# The front loop's range of lam, and the relative pad around the bound
+# crossings between which it starts.
 _LAM_CAP = 50.0
 _LAM_FLOOR = 1e-12
 _BOUND_PAD = 1e-6
@@ -181,29 +179,33 @@ def solve_lambda(
 ) -> float:
     """Front coefficient lam* solving phi'(lam)/lam = 2 / ((1 + beta) Ste).
 
-    Closed-form lower and upper bounds on phi'(lam)/lam cross the right-hand
-    side at lo and hi, widened by a relative 1e-6; [lo, hi] holds the root of
-    the exact balance before any profile is solved. From sqrt(lo hi), one loop
-    solves the profile and lam together, one operator application per step
-    (`_front_loop`): it converges to the converged discrete balance's root on
-    the config's grid, to a few ulps relative however small lam* is. Its lam
-    is returned if it lies in [lo, hi] and the profile solved there, which
-    `solve_stefan` returns, puts it within Brent's stopping distance of that
-    profile's root (lam |H/rhs - 1| <= 1e-12 + 4 eps lam). Otherwise the
-    balance's own sign decides a bracket: the low end halves while the balance
-    is non-positive there (down to lam = 1e-12), and the high end doubles up
-    to lam = 50 while it is positive, so a coarse grid whose discrete root
-    lies outside the bounds still gets that root; Brent then finds it to 1e-12
-    plus 4 eps relative. A coarse scan afterwards looks for further sign
-    changes and warns if any appear, skipping points whose slope it cannot
-    certify; the smallest bracketed root is returned.
+    Closed-form lower and upper bounds on phi'(lam)/lam = H cross the
+    right-hand side rhs at lo and hi (widened by a relative 1e-6). From
+    sqrt(lo hi), one loop solves the profile and lam together, one operator
+    application per step (`_front_loop`), and converges to the root of the
+    converged discrete balance on the config's grid, inside [lo, hi] or not,
+    to a few ulps relative however small lam* is. The profile solved at its
+    lam, which `solve_stefan` returns, then judges it by the loop's own step
+    from there: lam is accepted when lam |H/rhs - 1| / q, q >= 1 the loop's
+    last step divisor, is within Brent's stopping distance 1e-12 + 4 eps lam.
+    A coarse scan afterwards looks for further sign changes and warns if any
+    appear, skipping points whose slope it cannot certify.
 
     Raises
     ------
     ValueError
         beta, gamma or ste out of range.
     BracketError
-        No sign change within [1e-12, 50].
+        No sign change within [1e-12, 50]: the loop steps past an end.
+    ContractionError
+        beta at or above the certified slope range at lam (at gamma = inf
+        that range depends on lam).
+    FixedPointError
+        The loop's update is nan or 50 steps pass, or the profile solve at
+        lam fails.
+    RootConvergenceError
+        The profile at the loop's lam does not accept it; that lam is
+        attached as ``best``.
     """
     # beta enters the right-hand side, and gamma the bounds, before any
     # profile is set up.
@@ -211,49 +213,16 @@ def solve_lambda(
     _require("ste", ste)
     _require_gamma(gamma)
     rhs = 2.0 / ((1.0 + beta) * ste)
-
-    def balance(lam: float) -> float:
-        return boundary_slope_ratio(lam, beta, gamma, config) - rhs
-
     # log rhs from its factors: rhs itself may round to 0 or inf.
     log_rhs = math.log(2.0) - math.log1p(beta) - math.log(ste)
     lo = max(_bound_crossing(_log_phi_prime_lower, beta, gamma, log_rhs) * (1.0 - _BOUND_PAD), _LAM_FLOOR)
     hi = min(_bound_crossing(_log_phi_prime_upper, beta, gamma, log_rhs) * (1.0 + _BOUND_PAD), _LAM_CAP)
-    root = _front_loop(beta, gamma, rhs, config, math.sqrt(lo * hi))
-    if root is None or not lo <= root <= hi or not _balanced(root, rhs, beta, gamma, config):
-        root = _bracketed_root(balance, lo, hi)
+    root, divisor = _front_loop(beta, gamma, rhs, config, math.sqrt(lo * hi))
+    step = root * abs(boundary_slope_ratio(root, beta, gamma, config) / rhs - 1.0) / divisor
+    if step > _ROOT_TOL + _BRENT_RTOL * root:
+        raise RootConvergenceError(f"the profile at the front loop's lam={root!r} steps it by {step:.3g}", best=root)
     _warn_on_extra_roots(root, balance_rhs=rhs, beta=beta, gamma=gamma)
     return root
-
-
-def _balanced(lam: float, rhs: float, beta: float, gamma: float, config: SolverConfig) -> bool:
-    # Whether the profile solved at lam balances within Brent's stopping
-    # distance: lam |H/rhs - 1| <= 1e-12 + 4 eps lam. Since phi'' < 0,
-    # |d log H / d log lam| >= 1, so this puts lam that close to the root.
-    # A solve that fails here fails the loop's lam, not the front solve: the
-    # bracket then raises as it would alone (at gamma = inf, naming the
-    # threshold at its low end, not at lam).
-    try:
-        ratio = boundary_slope_ratio(lam, beta, gamma, config)
-    except (ContractionError, FixedPointError):
-        return False
-    return lam * abs(ratio - rhs) <= (_ROOT_TOL + _BRENT_RTOL * lam) * rhs
-
-
-def _bracketed_root(balance, lo: float, hi: float) -> float:
-    # Brent on the balance from the bound bracket [lo, hi], each end moved
-    # by the balance's sign as `solve_lambda` describes.
-    f_lo = balance(lo)
-    while f_lo <= 0.0:
-        if f_lo == 0.0:
-            return lo
-        lo *= 0.5
-        if lo < _LAM_FLOOR:
-            raise BracketError(f"no positive balance down to lam={_LAM_FLOOR:g}")
-        f_lo = balance(lo)
-
-    # balance(lo) > 0 here, and rereading it is a hit in the profile cache.
-    return find_root(balance, bracket_root(balance, lo, hi, max_hi=_LAM_CAP))
 
 
 # The front loop's step cap, and the size at which both of a step's updates (the
@@ -262,8 +231,8 @@ _LOOP_MAX_STEPS = 50
 _LOOP_TOL = 1e-15
 
 
-def _front_loop(beta: float, gamma: float, rhs: float, config: SolverConfig, lam: float) -> float | None:
-    """lam* from a joint fixed-point loop over the profile and lam, started at lam; None if it fails.
+def _front_loop(beta: float, gamma: float, rhs: float, config: SolverConfig, lam: float) -> tuple[float, float]:
+    """(lam*, divisor) from a joint fixed-point loop over the profile and lam, started at lam.
 
     On Landau's front-fixing variable xi = eta/lam the profile u keeps its
     nodes. Each step is one operator application u <- T_lam u, whose D and
@@ -272,30 +241,46 @@ def _front_loop(beta: float, gamma: float, rhs: float, config: SolverConfig, lam
     F / (2 + 4 I - D/gamma), I = -log((1+beta) E(lam))/2, clipped to +-1.
     The divisor is |F'| >= 1, the frozen balance's slope, plus
     4 lam^4 int_0^1 A E dxi / (lam/gamma + lam^2 int_0^1 E dxi) >= 0 (A the
-    inner integral): no step exceeds the frozen Newton step. When both
-    updates are at most `_LOOP_TOL`, u is T_lam's Picard fixed point on
-    grid_n nodes and the balance holds. None if lam leaves [_LAM_FLOOR,
-    _LAM_CAP], F or an update is not finite, or `_LOOP_MAX_STEPS` pass.
+    inner integral): no step exceeds the frozen Newton step. Where E(lam)
+    underflows, F is -inf and the step is -1. A step that would undo the one
+    before, or more, is cut to half of it, so the loop cannot cycle, and a step
+    past _LAM_FLOOR or _LAM_CAP stops at it. When both updates are at most
+    `_LOOP_TOL`, u is T_lam's Picard fixed point on grid_n nodes and the
+    balance holds; the last step's divisor is returned with lam.
+
+    Raises BracketError when a step would leave [_LAM_FLOOR, _LAM_CAP] from
+    the end it stands on, and FixedPointError when an update is nan or
+    `_LOOP_MAX_STEPS` pass.
     """
     n, inv_gamma = config.grid_n, 1.0 / gamma
     u = _seed(_uniform_nodes(lam, n), gamma)
     nu, psi, weight, work = *np.empty((3, n)), _cumint_work((n,))
+    last = 0.0
     with _float_errors([(beta, gamma, _LAM_FLOOR)]):  # T is applied only at lam >= _LAM_FLOOR
-        for _ in range(_LOOP_MAX_STEPS):
+        for step in range(1, _LOOP_MAX_STEPS + 1):
             _, d, e = _apply(u, _uniform_nodes(lam, n), lam / (n - 1), beta, inv_gamma, out=(nu, psi, weight, work))
             residual = float(np.abs(np.subtract(u, nu, out=u), out=u).max())  # u is spent: reuse it
             u, nu = nu, u
             d, e_lam = float(d), float(e[-1])
             balance = d * e_lam / lam / rhs
-            if not (0.0 < balance < math.inf and residual < math.inf):
-                return None
-            dt = math.log(balance) / (2.0 - 2.0 * math.log((1.0 + beta) * e_lam) - d * inv_gamma)
-            lam *= math.exp(max(-1.0, min(1.0, dt)))
+            if balance == 0.0:
+                dt = -1.0
+            else:
+                divisor = 2.0 - 2.0 * math.log((1.0 + beta) * e_lam) - d * inv_gamma
+                dt = max(-1.0, min(1.0, math.log(balance) / divisor))
+            if math.isnan(dt) or math.isnan(residual):
+                raise FixedPointError(f"front loop update is nan at step {step}", residual=residual, iterations=step)
+            if dt and lam == (_LAM_CAP if dt > 0.0 else _LAM_FLOOR):
+                raise BracketError(
+                    f"no sign change within [{_LAM_FLOOR:g}, {_LAM_CAP:g}]: the front loop steps past lam={lam:g}"
+                )
             if residual <= _LOOP_TOL and abs(dt) <= _LOOP_TOL:
-                return lam
-            if not _LAM_FLOOR <= lam <= _LAM_CAP:
-                return None
-    return None
+                return lam * math.exp(dt), divisor
+            if dt * last < 0.0 and abs(dt) >= abs(last):
+                dt = -0.5 * last
+            lam, last = min(max(lam * math.exp(dt), _LAM_FLOOR), _LAM_CAP), dt
+    message = f"front loop did not converge in {_LOOP_MAX_STEPS} steps (last log lam step {dt:g})"
+    raise FixedPointError(message, residual=residual, iterations=_LOOP_MAX_STEPS)
 
 
 def _log_phi_prime_lower(beta: float, gamma: float, lam: float) -> float:
@@ -342,7 +327,7 @@ def _warn_on_extra_roots(root: float, *, balance_rhs: float, beta: float, gamma:
     # Coarse reduced-resolution scan on both sides of the root; a sign
     # inconsistent with a single downward crossing flags multiplicity. Its 13
     # profile solves are also what the benchmark's stefan.aux_solve_share counts.
-    # The margin is relative, plus Brent's absolute step: a root below 1 keeps
+    # The margin is relative, plus an absolute 1e-12: a root below 1 keeps
     # its lower scan points however small it is.
     margin = 4e-9 * root + 1e-12
     below = np.geomspace(max(root / 64.0, _LAM_FLOOR), root, 7)[:-1]
@@ -362,7 +347,7 @@ def _warn_on_extra_roots(root: float, *, balance_rhs: float, beta: float, gamma:
         if side * (ratio - balance_rhs) > 0.0:
             warnings.warn(
                 f"front balance changes sign again near lam={lam:.3g}; "
-                f"smallest root {root:.6g} returned",
+                f"the front loop's root {root:.6g} returned",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -475,8 +460,9 @@ def phi_prime_bounds(beta: float, gamma: float, lam: float) -> tuple[float, floa
     which alone holds only for lam >= 1, and gamma e^{-lam^2/(1+beta)} /
     ((1+beta) + gamma (sqrt(pi)/2) erf(lam)), which holds for every lam and
     equals lower at beta = 0; so upper holds for every lam. Both tend to
-    gamma/(1+beta) as lam -> 0. `solve_lambda` starts its bracket from the
-    lower bound and the second form of the upper one.
+    gamma/(1+beta) as lam -> 0. `solve_lambda` starts its front loop between
+    the points where the lower bound and the second form of the upper one
+    meet the balance.
     """
     _require("beta", beta, positive=False)
     _require("gamma", gamma)

@@ -1,6 +1,7 @@
-"""RK4 shooting oracles: the profile problems solved independently of the
-fixed-point machinery, used by the test suite (and the benchmark's reference
-checks) to cross-validate it.
+"""Referees for the solvers: RK4 shooting oracles, which solve the profile
+problems independently of the fixed-point machinery, used by the test suite
+(and the benchmark's reference checks) to cross-validate it; and Brent over
+full profile solves for the front coefficient, independent of the front loop.
 
 Not a test module (pytest does not collect it); it imports on its own, given
 ``gmerf`` on the path.
@@ -12,11 +13,20 @@ import math
 
 import numpy as np
 
-from gmerf.errors import GmerfError
+from gmerf.errors import BracketError, GmerfError
 from gmerf.fixed_point import GMEParams, SolverConfig
 from gmerf.numerics import GridFunction, _require, bracket_root, find_root
+from gmerf.stefan import (
+    _BOUND_PAD,
+    _LAM_CAP,
+    _LAM_FLOOR,
+    _bound_crossing,
+    _log_phi_prime_lower,
+    _log_phi_prime_upper,
+    boundary_slope_ratio,
+)
 
-__all__ = ["IntegrationError", "shoot_bvp", "shoot_bvp_dirichlet"]
+__all__ = ["IntegrationError", "bracketed_front_root", "shoot_bvp", "shoot_bvp_dirichlet"]
 
 
 class IntegrationError(GmerfError):
@@ -121,3 +131,41 @@ def shoot_bvp_dirichlet(beta: float, lam: float, config: SolverConfig) -> GridFu
     p_star = find_root(mismatch, bracket)
     ys, _ = _rk4_profile(0.0, p_star, lam, n, beta)
     return GridFunction(lam, ys)
+
+
+def bracketed_front_root(beta: float, gamma: float, ste: float, config: SolverConfig) -> float:
+    """Root of the front balance phi'(lam)/lam = 2/((1+beta) Ste) by Brent over
+    full profile solves, independent of `solve_lambda`'s front loop.
+
+    The bracket starts at the closed-form bound crossings that `solve_lambda`
+    starts between, widened by the same relative pad, and the balance's own
+    sign moves its ends: the low end halves while the balance is non-positive
+    there (down to lam = 1e-12), and the high end doubles up to lam = 50
+    while it is positive. Brent then stops at a step of 1e-12 plus 4 eps
+    relative. No multiplicity scan runs.
+
+    Raises
+    ------
+    BracketError
+        No sign change within [1e-12, 50].
+    ContractionError, FixedPointError
+        A profile solve at a probed lam fails (at gamma = inf the certified
+        slope range depends on lam, so a low probe may be refused).
+    """
+    rhs = 2.0 / ((1.0 + beta) * ste)
+
+    def balance(lam: float) -> float:
+        return boundary_slope_ratio(lam, beta, gamma, config) - rhs
+
+    log_rhs = math.log(2.0) - math.log1p(beta) - math.log(ste)
+    lo = max(_bound_crossing(_log_phi_prime_lower, beta, gamma, log_rhs) * (1.0 - _BOUND_PAD), _LAM_FLOOR)
+    hi = min(_bound_crossing(_log_phi_prime_upper, beta, gamma, log_rhs) * (1.0 + _BOUND_PAD), _LAM_CAP)
+    f_lo = balance(lo)
+    while f_lo <= 0.0:
+        if f_lo == 0.0:
+            return lo
+        lo *= 0.5
+        if lo < _LAM_FLOOR:
+            raise BracketError(f"no positive balance down to lam={_LAM_FLOOR:g}")
+        f_lo = balance(lo)
+    return find_root(balance, bracket_root(balance, lo, hi, max_hi=_LAM_CAP))

@@ -421,6 +421,14 @@ class TestSolve:
         assert code == 2
         assert "threshold" in err
 
+    def test_refusal_names_no_argument_the_command_cannot_take(self, capsys):
+        # solve_gme's override is not reachable from the command line.
+        argv = ["solve", "--rho", "1", "--c", "1", "--l", "1", "--k0", "1", "--h0", "0.5", "--tf", "1", "--tinf", "0", "--beta", "0.5"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("gmerf: solver error: beta=0.5 is at or above the certified contraction threshold ")
+        assert "allow_unproven" not in err
+
     def test_water_like_set_validated_against_scan_oracle(self, capsys, tmp_path):
         cfg = dict(rho=1000.0, c=4.19, l=333.0, k0=0.556e-2, h0=0.02, tf=0.0, tinf=-10.0, beta=0.1)
         path = tmp_path / "water.json"

@@ -978,8 +978,7 @@ class TestPrescribedValueVariant:
         with pytest.raises(ContractionError) as refusal:
             solve_gme(GMEParams(beta, math.inf, lam))
         assert str(refusal.value) == (
-            f"beta={beta:g} is at or above the certified contraction threshold {search(lam):.6g} "
-            "for this problem; pass allow_unproven=True to attempt the solve anyway"
+            f"beta={beta:g} is at or above the certified contraction threshold {search(lam):.6g} for this problem"
         )
         assert calls == [lam]
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gmerf import stefan
-from gmerf.errors import BracketError, ContractionError, FixedPointError
+from gmerf.errors import BracketError, ContractionError, FixedPointError, RootConvergenceError
 from gmerf.fixed_point import (
     DEFAULT_CONFIG,
     GMEParams,
@@ -35,6 +35,7 @@ from gmerf.stefan import (
     solve_stefan,
     temperature,
 )
+from oracles import bracketed_front_root
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -179,6 +180,22 @@ class TestSolveLambda:
         with pytest.raises(BracketError):
             solve_lambda(0.0, 1.0, 1e-280)
 
+    @pytest.mark.parametrize("frac, gamma, ste, end", [(0.0, 1.0, 1e-280, "1e-12"), (0.95, 1e-6, 1e16, "50")])
+    def test_loop_stepping_past_an_end_of_the_range_raises_naming_it(self, frac, gamma, ste, end):
+        # The root lies below 1e-12, or above 50 at a slope of 0.95 of the threshold.
+        beta = frac * contraction_threshold(gamma)
+        with pytest.raises(BracketError, match=rf"^no sign change within \[1e-12, 50\]: the front loop steps past lam={end}$"):
+            solve_lambda(beta, gamma, ste, SolverConfig(grid_n=201))
+
+    def test_unbalanced_loop_result_is_refused_with_its_lam_as_best(self, monkeypatch):
+        # The profile solved at a lam 1e-6 off the root steps it by about
+        # that much, far beyond Brent's stopping distance.
+        p = sample_physical(l=2.0)
+        monkeypatch.setattr(stefan, "_front_loop", lambda *args: (0.5948731740885472 * (1.0 + 1e-6), 2.0))
+        with pytest.raises(RootConvergenceError) as refusal:
+            solve_lambda(p.beta, p.gamma, p.ste)
+        assert refusal.value.best == 0.5948731740885472 * (1.0 + 1e-6)
+
     def test_normal_solve_emits_no_multiplicity_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -224,22 +241,30 @@ class TestSolveLambda:
         assert abs(lhs / ((gamma / 2.0) * ste) - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("beta, gamma, ste", [(0.2, math.inf, 0.01), (0.3, math.inf, 10.0), (0.5, 1.0, 1.0)])
-    def test_uncertified_slope_is_refused_as_by_the_bracket(self, monkeypatch, beta, gamma, ste):
-        # The loop converges here, but its lam fails the check solve; the
-        # bracket then refuses the slope with the message it gives alone,
-        # which at gamma = inf names the threshold at the bracket's low end.
-        with pytest.raises(ContractionError) as loop:
+    def test_uncertified_slope_is_refused_at_the_loops_root(self, monkeypatch, beta, gamma, ste):
+        # The loop converges here, but the profile solve at its lam refuses
+        # the slope, naming beta and the threshold there: at gamma = inf the
+        # threshold at lam*, which the bracketed referee, probing its low end
+        # first, refuses at a lower threshold.
+        real_loop, loops = stefan._front_loop, []
+        monkeypatch.setattr(stefan, "_front_loop", lambda *args: loops.append(real_loop(*args)) or loops[-1])
+        with pytest.raises(ContractionError) as refusal:
             solve_lambda(beta, gamma, ste)
-        monkeypatch.setattr(stefan, "_front_loop", lambda *args: None)
-        with pytest.raises(ContractionError) as alone:
-            solve_lambda(beta, gamma, ste)
-        assert str(loop.value) == str(alone.value)
+        lam = loops[-1][0]
+        threshold = dirichlet_contraction_threshold(lam) if math.isinf(gamma) else contraction_threshold(gamma)
+        assert f"beta={beta:g} is at or above the certified contraction threshold {threshold:.6g} " in str(refusal.value)
+        with pytest.raises(ContractionError):
+            bracketed_front_root(beta, gamma, ste, DEFAULT_CONFIG)
 
-    def test_bracketed_root_is_kept_when_the_loop_fails(self, monkeypatch):
-        # Without the loop, the bracket and Brent give the README case's root.
-        monkeypatch.setattr(stefan, "_front_loop", lambda *args: None)
+    def test_readme_case_agrees_with_the_bracketed_root(self):
+        # The bracketed referee gives the README case's root, and the loop's
+        # lies within Brent's stopping distance of it.
         p = sample_physical(l=2.0)
-        assert solve_lambda(p.beta, p.gamma, p.ste, DEFAULT_CONFIG) == 0.5948731740885462
+        root = bracketed_front_root(p.beta, p.gamma, p.ste, DEFAULT_CONFIG)
+        assert root == 0.5948731740885462
+        lam = solve_lambda(p.beta, p.gamma, p.ste, DEFAULT_CONFIG)
+        assert lam == 0.5948731740885472
+        assert abs(lam - root) <= 1e-12 + 4.0 * math.ulp(1.0) * root
 
     @pytest.mark.parametrize("gamma, ste, grid_n, below", [(1.0, 3.0, 5, True), (0.5, 20.0, 3, False)])
     def test_coarse_root_outside_the_bound_bracket_matches_bisection(self, gamma, ste, grid_n, below):
@@ -280,13 +305,15 @@ class TestSolveLambda:
         # it jumps to the other side of rhs, a second sign change that the
         # scan probes near 0.039 (below the root) or near 17.2 (above it) for
         # Ste = 2.5. For Ste = 2e-10 the root is 1e-10, and the scan probes
-        # near 2.5e-11: a tiny root keeps the scan points below it.
+        # near 2.5e-11: a tiny root keeps the scan points below it. The front
+        # loop, which never calls boundary_slope_ratio, is given that root.
         def ratio(lam, beta, gamma, config=DEFAULT_CONFIG):
             if window[0] < lam < window[1]:
                 return 1.0 if beyond_root else 0.5
             return 1.0 / lam
 
         monkeypatch.setattr("gmerf.stefan.boundary_slope_ratio", ratio)
+        monkeypatch.setattr(stefan, "_front_loop", lambda *args: (ste / 2.0, 1.0))
         with pytest.warns(RuntimeWarning, match="changes sign again") as record:
             root = solve_lambda(0.0, 1.0, ste)
         assert root == pytest.approx(ste / 2.0, rel=1e-12)
@@ -317,14 +344,12 @@ def front_draws(rng, k):
 class TestFrontLoop:
     @pytest.mark.parametrize("grid_n", [201, 1001])
     def test_matches_the_bracketed_root_on_seeded_draws(self, monkeypatch, grid_n):
-        # The loop's lambda* is accepted on every draw and lies within
-        # Brent's stopping distance of the bracketed root. Against a
-        # converged solve on the same grid, its balance error lam |H/rhs - 1|
-        # is at most the bracketed root's, or at rounding level. The scan is
-        # off: it does not move the root.
+        # The loop's lambda* lies within Brent's stopping distance of the
+        # bracketed referee's root. Against a converged solve on the same
+        # grid, its balance error lam |H/rhs - 1| is at most the referee's,
+        # or at rounding level. The scan is off: it does not move the root.
         eps = math.ulp(1.0)
         config, converged = SolverConfig(grid_n=grid_n), SolverConfig(grid_n=grid_n, fp_tol=1e-15)
-        real_loop, loops = stefan._front_loop, []
         monkeypatch.setattr(stefan, "_warn_on_extra_roots", lambda *args, **kwargs: None)
 
         def balance_error(lam, beta, gamma, ste):
@@ -332,11 +357,8 @@ class TestFrontLoop:
             return lam * abs(solve_gme(GMEParams(beta, gamma, lam), converged).phi_prime_lambda / lam / rhs - 1.0)
 
         for beta, gamma, ste in front_draws(np.random.default_rng(21), 100):
-            monkeypatch.setattr(stefan, "_front_loop", lambda *args: loops.append(real_loop(*args)) or loops[-1])
             lam = solve_lambda(beta, gamma, ste, config)
-            assert loops[-1] == lam, (beta, gamma, ste)
-            monkeypatch.setattr(stefan, "_front_loop", lambda *args: None)
-            root = solve_lambda(beta, gamma, ste, config)
+            root = bracketed_front_root(beta, gamma, ste, config)
             assert abs(lam - root) <= 1e-12 + 4.0 * eps * root, (beta, gamma, ste)
             off = balance_error(lam, beta, gamma, ste)
             assert off <= max(balance_error(root, beta, gamma, ste), 32.0 * eps * lam), (beta, gamma, ste)
@@ -347,11 +369,12 @@ class TestFrontLoop:
     @pytest.mark.parametrize("gamma", [1e-4, 1.0, 1e4, math.inf])
     def test_edges_agree_with_the_bracketed_root(self, monkeypatch, gamma, ste, frac, grid_n):
         # Tiny and huge gamma and Ste, slopes at the certified threshold and
-        # a 5-node grid: the front solve gives the bracketed root to within
-        # Brent's stopping distance, or raises what the bracket raises alone.
-        # At gamma = inf the threshold is taken at the beta = 0 root. The
-        # certified range grows with lam there, so a slope may be certified
-        # at lambda* but not at the bracket's low end: the bracket alone
+        # a 5-node grid: the front solve gives the bracketed referee's root
+        # to within Brent's stopping distance, or raises what the referee
+        # raises: the same message, or for a BracketError the same end of
+        # [1e-12, 50]. At gamma = inf the threshold is taken at the beta = 0
+        # root. The certified range grows with lam there, so a slope may be
+        # certified at lambda* but not at the referee's low end: the referee
         # then refuses it (at Ste = 1), while the loop's lambda* balances and
         # is certified, which its check solve proves.
         config = SolverConfig(grid_n=grid_n)
@@ -362,24 +385,53 @@ class TestFrontLoop:
         beta = frac * threshold
         monkeypatch.setattr(stefan, "_warn_on_extra_roots", lambda *args, **kwargs: None)
 
-        def outcome():
+        def outcome(solve):
             _solved.cache_clear()
             try:
-                return solve_lambda(beta, gamma, ste, config)
+                return solve(beta, gamma, ste, config)
             except (BracketError, ContractionError, FixedPointError) as exc:
                 return type(exc), str(exc)
 
-        lam = outcome()
-        monkeypatch.setattr(stefan, "_front_loop", lambda *args: None)
-        root = outcome()
+        lam, root = outcome(solve_lambda), outcome(bracketed_front_root)
         if isinstance(root, float):
             assert isinstance(lam, float) and abs(lam - root) <= 1e-12 + 4.0 * math.ulp(1.0) * root
         elif math.isinf(gamma) and root[0] is ContractionError and isinstance(lam, float):
             rhs = 2.0 / ((1.0 + beta) * ste)
             assert beta < dirichlet_contraction_threshold(lam)
             assert lam * abs(boundary_slope_ratio(lam, beta, gamma, config) - rhs) <= (1e-12 + 4.0 * math.ulp(1.0) * lam) * rhs
+        elif root[0] is BracketError:
+            assert lam[0] is BracketError and lam[1].rsplit("=", 1)[1] == root[1].rsplit("=", 1)[1]
         else:
             assert lam == root
+
+    @pytest.mark.parametrize(
+        "beta, gamma, ste, grid_n, expected",
+        [
+            # One clipped step crosses lam = 50 on the way to the root.
+            pytest.param(131.11, 1e-6, 1e16, 201, 49.349, id="crosses-the-cap"),
+            # Certified at lambda*, not at the bound crossings' low end.
+            pytest.param(0.15737, math.inf, 1.0, 201, 0.64670, id="certified-only-near-the-root"),
+            # A lambda* above 15, where the balance's slope in log lam is large.
+            pytest.param(0.0, 1.0, 1e300, 1001, 26.195, id="large-root"),
+            # Steps cycle between 16.07 and 43.67, where E(lam) underflows,
+            # unless a reversing step is halved.
+            pytest.param(0.95 * contraction_threshold(0.1), 0.1, 1e300, 201, 41.138, id="underflow-cycle"),
+            # The bracket's probes meet non-monotone 5-node profiles.
+            pytest.param(0.0, 1.0, 1e6, 5, 3.3593966759416585, id="five-nodes"),
+        ],
+    )
+    def test_mended_fronts_lie_within_brents_stopping_distance(self, beta, gamma, ste, grid_n, expected):
+        # The converged balance on the same grid changes sign across
+        # [lam - d, lam + d], d = 1e-12 + 4 eps lam: Brent's stopping distance.
+        lam = solve_lambda(beta, gamma, ste, SolverConfig(grid_n=grid_n))
+        assert lam == pytest.approx(expected, rel=1e-4)
+        rhs, d = 2.0 / ((1.0 + beta) * ste), 1e-12 + 4.0 * math.ulp(1.0) * lam
+        converged = SolverConfig(grid_n=grid_n, fp_tol=1e-15)
+
+        def ratio(x):
+            return solve_gme(GMEParams(beta, gamma, x), converged).phi_prime_lambda / x
+
+        assert ratio(lam - d) >= rhs >= ratio(lam + d)
 
     def test_step_divisor_bounds_the_frozen_balance_slope(self):
         # The loop divides the balance F of its frozen profile by

@@ -104,7 +104,8 @@ class Counts:
     applications (``stefan._apply``, which only the loop calls there), the
     quadrature passes made while it runs, and its fallbacks to the bracket
     and Brent (``stefan._bracketed_root``); a tree without these names
-    counts 0 of each.
+    counts 0 of each. Only a base tree from before the loop became the only
+    front solver has ``_bracketed_root``, so fallbacks read 0 on later trees.
     """
 
     def __init__(self, side: Side):
