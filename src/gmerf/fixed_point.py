@@ -32,8 +32,6 @@ one call (one chunk of one solve) and no module state holds any array.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -222,15 +220,13 @@ def _scaled_root(gap, scale: float) -> float:
     return scale * (find_root(scaled, bracket_root(scaled, 0.0, 1024.0)) / 1024.0)
 
 
-@functools.lru_cache(maxsize=256)
 def contraction_threshold(gamma: float) -> float:
     """Unique positive root of g(x) = 1: Picard is certified below it.
 
     Strictly decreasing in gamma. With c = sqrt(pi)/2 the root lies between
     half and all of min(1/(3 c gamma), (c gamma)^(-2/5)), the roots of the
     small- and large-x forms of g, so `_scaled_root` finds it to a relative
-    1e-13 or better for every normal gamma. Cached per gamma, since every
-    profile solve at finite gamma asks.
+    1e-13 or better for every normal gamma.
     """
     _require("gamma", gamma)
     c = 0.5 * SQRT_PI
@@ -372,11 +368,11 @@ def _seed(nodes: np.ndarray, gamma) -> np.ndarray:
 
 def _certified(beta: float, gamma: float, lam: float, allow_unproven: bool) -> bool:
     # Whether the contraction inequality holds at beta for a valid point;
-    # raises ContractionError when not and the override is off. The cached
-    # threshold is a rounded root, so the inequality itself settles a refusal.
-    # The prescribed-value threshold is an uncached root search, made only
-    # when the inequality fails: it also certifies slopes below the rounded
-    # root, and words the refusal. Its inequality is tested only where it can
+    # raises ContractionError when not and the override is off. The closed-form
+    # inequality, g(beta) < 1 or beta (1+beta)^{3/2} (3+beta) < erf(lam) at
+    # gamma = inf, certifies. Only where it fails is the threshold searched:
+    # a rounded root, it also certifies slopes below itself, and it words the
+    # refusal. The prescribed-value inequality is tested only where it can
     # hold, so a huge slope cannot overflow the float power in
     # `_dirichlet_factor`: beta _dirichlet_factor(beta) >= 3 beta fails
     # erf(lam) < 1 from beta = 1/3.
@@ -384,10 +380,11 @@ def _certified(beta: float, gamma: float, lam: float, allow_unproven: bool) -> b
         if beta < 1.0 and beta * _dirichlet_factor(beta) < float(erf(lam)):
             return True
         threshold = dirichlet_contraction_threshold(lam)
-        certified = beta < threshold
     else:
+        if contraction_factor(beta, gamma) < 1.0:
+            return True
         threshold = contraction_threshold(gamma)
-        certified = beta < threshold or contraction_factor(beta, gamma) < 1.0
+    certified = beta < threshold
     if not certified and not allow_unproven:
         raise ContractionError(
             f"beta={beta:g} is at or above the certified contraction "
@@ -424,7 +421,9 @@ def solve_gme(
     """
     point = (params.beta, params.gamma, params.lam)
     certified = _certified(*point, allow_unproven)
-    with _float_errors([point]):
+    # Float errors are off whatever the caller's numpy state: an overflow ends
+    # as a nan update or a broken post-condition, raised as FixedPointError.
+    with np.errstate(all="ignore"):
         profile, d_coeff, phi_prime_lambda, iterations, residual = _solve_one(*point, config)
     # The post-conditions are tested already: skip __post_init__.
     sol = object.__new__(GMESolution)
@@ -453,19 +452,6 @@ def _raise_first(errors: list) -> None:
     for exc in errors:
         if exc is not None:
             raise exc
-
-
-def _float_errors(points: list):
-    # The float-warning state a solve of valid (beta, gamma, lam) points runs in.
-    # 1/gamma or the normalizer 1/(1/gamma + int_0^lam E), int E >= min(lam, 1)/(e (1 + beta)),
-    # may overflow: the point's first update is then nan, which fails it. From lam of about
-    # 1.3e154 the inner integral int_0^lam s/Psi ds, up to lam**2/2, overflows in its panel
-    # sums: E is then 0 beyond the first node. Such a solve runs with float warnings off;
-    # others keep numpy's default error state, which ufuncs read fastest.
-    if all(lam < 1e154 and 1e-290 < 1.0 / gamma + min(lam, 1.0) / (1.0 + beta) < math.inf
-           for beta, gamma, lam in points):
-        return contextlib.nullcontext()
-    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
 def _solve_rows(
@@ -504,7 +490,7 @@ def _solve_rows(
         else:
             todo.append(i)
     step = max(1, _CHUNK_ELEMENTS // config.grid_n)
-    with _float_errors([points[i] for i in todo]):
+    with np.errstate(all="ignore"):
         for start in range(0, len(todo), step):
             chunk = todo[start : start + step]
             _solve_chunk(np.array(chunk), np.array([points[i] for i in chunk], dtype=float), config, rows)

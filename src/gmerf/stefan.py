@@ -39,7 +39,6 @@ from .fixed_point import (
     GMESolution,
     SolverConfig,
     _apply,
-    _float_errors,
     _raise_first,
     _require_gamma,
     _seed,
@@ -212,7 +211,9 @@ def solve_lambda(
     _require("beta", beta, positive=False)
     _require("ste", ste)
     _require_gamma(gamma)
-    rhs = 2.0 / ((1.0 + beta) * ste)
+    # Where (1 + beta) Ste overflows, rhs is divided out factor by factor.
+    scale = (1.0 + beta) * ste
+    rhs = 2.0 / scale if scale < math.inf else 2.0 / (1.0 + beta) / ste
     # log rhs from its factors: rhs itself may round to 0 or inf.
     log_rhs = math.log(2.0) - math.log1p(beta) - math.log(ste)
     lo = max(_bound_crossing(_log_phi_prime_lower, beta, gamma, log_rhs) * (1.0 - _BOUND_PAD), _LAM_FLOOR)
@@ -256,7 +257,7 @@ def _front_loop(beta: float, gamma: float, rhs: float, config: SolverConfig, lam
     u = _seed(_uniform_nodes(lam, n), gamma)
     nu, psi, weight, work = *np.empty((3, n)), _cumint_work((n,))
     last = 0.0
-    with _float_errors([(beta, gamma, _LAM_FLOOR)]):  # T is applied only at lam >= _LAM_FLOOR
+    with np.errstate(all="ignore"):  # an overflow ends as a nan update, raised below
         for step in range(1, _LOOP_MAX_STEPS + 1):
             _, d, e = _apply(u, _uniform_nodes(lam, n), lam / (n - 1), beta, inv_gamma, out=(nu, psi, weight, work))
             residual = float(np.abs(np.subtract(u, nu, out=u), out=u).max())  # u is spent: reuse it

@@ -18,7 +18,7 @@ from gmerf.cli import main
 from gmerf.errors import BracketError, GmerfError
 from gmerf.fixed_point import GMEParams, GMESolution, SolverConfig, solve_gme
 from gmerf.numerics import GridFunction
-from gmerf.stefan import boundary_slope_ratio, dirichlet_gap, solve_dirichlet
+from gmerf.stefan import boundary_slope_ratio, dirichlet_gap, solve_dirichlet, solve_lambda
 
 GME_COLUMNS = "eta,phi,phi0,phi1_approx,err0_pointwise,err1_pointwise"
 
@@ -428,6 +428,16 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert err.startswith("gmerf: solver error: beta=0.5 is at or above the certified contraction threshold ")
         assert "allow_unproven" not in err
+
+    def test_overflowing_balance_scale_is_solved(self, capsys):
+        # Ste = 1.5e308, so (1 + beta) Ste overflows while 2/((1 + beta) Ste) does not.
+        argv = ["solve", "--rho", "1", "--c", "1", "--l", "6.666666666666667e-309", "--k0", "1", "--h0", "0.5",
+                "--tf", "1", "--tinf", "0", "--beta", "0.25", "--grid-n", "201"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["lambda_star"] == solve_lambda(0.25, 1.0, report["ste"], SolverConfig(grid_n=201))
+        assert report["lambda_star"] == pytest.approx(29.6833, rel=1e-5)
 
     def test_water_like_set_validated_against_scan_oracle(self, capsys, tmp_path):
         cfg = dict(rho=1000.0, c=4.19, l=333.0, k0=0.556e-2, h0=0.02, tf=0.0, tinf=-10.0, beta=0.1)

@@ -1,5 +1,6 @@
 """Tests for the integral operator, contraction machinery, and Picard solver."""
 
+import json
 import math
 import struct
 import warnings
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmerf import fixed_point
+from gmerf import cli, fixed_point, stefan
 from gmerf.approx import zero_order
 from gmerf.errors import ContractionError, FixedPointError, GmerfError
 from gmerf.fixed_point import (
@@ -443,6 +444,106 @@ class TestContraction:
             lhs = np.max(np.abs(fixed_point_map(h1, params).values - fixed_point_map(h2, params).values))
             rhs = g * np.max(np.abs(v1 - v2))
             assert lhs <= rhs + 1e-9
+
+
+def _ulps_around(x: float, k: int) -> list[float]:
+    # The 2k + 1 floats from k ulps below x to k ulps above it.
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+README_CASE = dict(rho=1.2, c=2.5, l=2.0, k0=1.7, h0=1.0, tf=1.0, tinf=-1.0, beta=0.25)
+
+
+def _readme_stefan():
+    stefan._solved.cache_clear()
+    sol = stefan.solve_stefan(stefan.PhysicalParams(**README_CASE))
+    return sol.lambda_star, sol.gme.phi.values.tobytes()
+
+
+def _gme_at_lam_30():
+    sol = solve_gme(GMEParams(0.01, 1.0, 30.0))
+    return sol.phi.values.tobytes(), sol.d_coeff, sol.phi_prime_lambda, sol.iterations, sol.residual
+
+
+def _front_at_ste_1e6():
+    stefan._solved.cache_clear()
+    return stefan.solve_lambda(0.0, 1.0, 1e6)
+
+
+def _batch_to_lam_50():
+    points = [(0.01, 1.0, 50.0), (0.0, math.inf, 50.0), (0.02, 10.0, 10.0), (0.1, 0.1, 25.0)]
+    rows = _solve_rows(points, SolverConfig(grid_n=201), keep_profiles=True)
+    assert rows.errors == [None] * len(points)
+    return [np.asarray(a).tobytes() for a in (*rows[:4], *rows.profiles)]
+
+
+class TestSolveGuards:
+    """The two guards every profile solve passes: certification and the float-error state."""
+
+    def test_certification_matches_the_threshold_rule(self):
+        # The referee is the threshold rule, written out here: finite gamma
+        # certifies beta < contraction_threshold(gamma) or g(beta) < 1; gamma
+        # = inf certifies beta < 1 with beta (1+beta)^1.5 (3+beta) < erf(lam),
+        # its product grouped as in `_dirichlet_factor` (another grouping
+        # rounds differently), or beta < dirichlet_contraction_threshold(lam).
+        # Slopes within 8 ulps of each rounded threshold, where the two tests
+        # can disagree.
+        rng = np.random.default_rng(27)
+        cases = [(gamma, 1.0, contraction_threshold(gamma)) for gamma in (10.0 ** rng.uniform(-6.0, 6.0, 50)).tolist()]
+        cases += [(math.inf, lam, dirichlet_contraction_threshold(lam)) for lam in (10.0 ** rng.uniform(-3.0, math.log10(50.0), 50)).tolist()]
+        verdicts = set()
+        for gamma, lam, threshold in cases:
+            for beta in _ulps_around(threshold, 8):
+                if math.isinf(gamma):
+                    expected = (beta < 1.0 and beta * ((1.0 + beta) ** 1.5 * (3.0 + beta)) < float(erf(lam))) or beta < threshold
+                else:
+                    expected = beta < threshold or contraction_factor(beta, gamma) < 1.0
+                verdicts.add(expected)
+                assert fixed_point._certified(beta, gamma, lam, True) is expected, (beta, gamma, lam)
+                if expected:
+                    assert fixed_point._certified(beta, gamma, lam, False) is True
+                    continue
+                with pytest.raises(ContractionError) as refusal:
+                    fixed_point._certified(beta, gamma, lam, False)
+                assert str(refusal.value) == (
+                    f"beta={beta:g} is at or above the certified contraction threshold {threshold:.6g} for this problem"
+                )
+        assert verdicts == {True, False}
+
+    def test_certified_solves_search_no_threshold(self, monkeypatch, capsys, tmp_path):
+        # With both threshold searches made to fail, certified solves still
+        # run: the closed-form inequality alone certifies them.
+        beta = 0.5 * dirichlet_contraction_threshold(2.0)
+
+        def searched(*args):
+            raise AssertionError(f"threshold searched at {args}")
+
+        monkeypatch.setattr(fixed_point, "contraction_threshold", searched)
+        monkeypatch.setattr(fixed_point, "dirichlet_contraction_threshold", searched)
+        assert _readme_stefan()[0] == 0.5948731740885472
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"beta": [0.0, 0.02], "gamma": [1.0, 10.0], "lambda": [1.0, 2.0], "grid_n": 201}))
+        assert cli.main(["sweep", "--spec", str(spec)]) == 0
+        assert cli.main(["hscan", "--beta", "0.1", "--gamma", "1", "--lmin", "0.5", "--lmax", "2", "--steps", "4", "--grid-n", "201"]) == 0
+        capsys.readouterr()
+        assert stefan.solve_dirichlet(beta, 2.0).contraction_certified
+
+    @pytest.mark.parametrize(
+        "solve",
+        [_readme_stefan, _gme_at_lam_30, _front_at_ste_1e6, _batch_to_lam_50],
+        ids=["readme-solve-stefan", "solve-gme-lam-30", "solve-lambda-ste-1e6", "batch-to-lam-50"],
+    )
+    def test_solves_ignore_the_callers_float_state(self, solve):
+        # exp underflows in each; a caller raising on every float error gets
+        # the bits that numpy's default state gives.
+        with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
+            default = solve()
+        with np.errstate(all="raise"):
+            assert solve() == default
 
 
 class TestSolveGme:

@@ -124,15 +124,6 @@ class TestBoundarySlopeRatio:
         b = _solved(0.1, 1.0, 1.25, DEFAULT_CONFIG)
         assert a is b
 
-    def test_one_stefan_solve_computes_the_threshold_once(self):
-        physical = sample_physical(h0=0.8, beta=0.2)
-        _solved.cache_clear()
-        contraction_threshold.cache_clear()
-        solve_stefan(physical, SolverConfig(grid_n=201))
-        info = contraction_threshold.cache_info()
-        assert info.misses == 1
-        assert info.hits == _solved.cache_info().misses - 1
-
 
 class TestSolveLambda:
     def test_balance_holds_at_root(self):
@@ -186,6 +177,26 @@ class TestSolveLambda:
         beta = frac * contraction_threshold(gamma)
         with pytest.raises(BracketError, match=rf"^no sign change within \[1e-12, 50\]: the front loop steps past lam={end}$"):
             solve_lambda(beta, gamma, ste, SolverConfig(grid_n=201))
+
+    @pytest.mark.parametrize("beta, gamma, ste, expected", [(0.25, 1.0, 1.5e308, 29.6833), (0.2, math.inf, 1.6e308, 29.1000)])
+    def test_overflowing_balance_scale_keeps_a_representable_rhs(self, beta, gamma, ste, expected):
+        # (1 + beta) Ste overflows, while rhs = 2/((1 + beta) Ste) is a normal
+        # float; the converged balance changes sign within Brent's stopping distance.
+        lam = solve_lambda(beta, gamma, ste)
+        assert lam == pytest.approx(expected, rel=1e-5)
+        rhs, d = 2.0 / (1.0 + beta) / ste, 1e-12 + 4.0 * math.ulp(1.0) * lam
+        assert rhs > 0.0
+        converged = SolverConfig(fp_tol=1e-15)
+
+        def ratio(x):
+            return solve_gme(GMEParams(beta, gamma, x), converged).phi_prime_lambda / x
+
+        assert ratio(lam - d) >= rhs >= ratio(lam + d)
+
+    def test_overflowing_balance_scale_above_the_threshold_is_refused(self):
+        # beta = 1 is above gamma = 1's threshold of 0.2999.
+        with pytest.raises(ContractionError, match=r"^beta=1 is at or above the certified contraction threshold 0\.2999"):
+            solve_lambda(1.0, 1.0, 1.7e308)
 
     def test_unbalanced_loop_result_is_refused_with_its_lam_as_best(self, monkeypatch):
         # The profile solved at a lam 1e-6 off the root steps it by about

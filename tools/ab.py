@@ -19,8 +19,8 @@ The runs are:
 
 - L2: ``solve_gme`` at 201, 1001 and 64001 nodes on the README's profile
   example (beta = 0.9 contraction_threshold(1), gamma = 1, lam = 2);
-- L3: a cold ``solve_stefan`` of the README case (its profile cache and the
-  threshold cache cleared before every call);
+- L3: a cold ``solve_stefan`` of the README case (its profile cache, and
+  the threshold cache of a tree that has one, cleared before every call);
 - L4: the four workloads of ``perfbench/`` (``stefan_cases``,
   ``cli_coarse``, ``cli_sweep``, ``profile_fine``), imported read-only, op i
   drawn once and run on both sides;
@@ -30,7 +30,7 @@ The runs are:
 Before timing, an untimed pass counts per side the profile solves per call
 (per op at L4), the Picard iterations per solve, the quadrature passes per
 call, all of them and those inside the front loop, and the front loop's
-operator applications and fallbacks per call, and checks that both sides give the
+operator applications per call, and checks that both sides give the
 same bits (profiles, ``lambda*`` and field reads, the CLI's CSV files, a
 ``profile_fine`` solution's profile and numbers). Workload ops are checked
 with the workload's own ``check``.
@@ -90,7 +90,8 @@ class Side:
 
     def clear_caches(self):
         self.stefan._solved.cache_clear()
-        self.fixed_point.contraction_threshold.cache_clear()
+        # Only a tree from before certification by the inequality alone caches thresholds.
+        getattr(self.fixed_point.contraction_threshold, "cache_clear", lambda: None)()
 
 
 class Counts:
@@ -101,16 +102,14 @@ class Counts:
     Quadrature passes are ``_cumint`` calls, wrapped at each module that
     binds it, so each call is counted once whichever module makes it. The
     front loop (``stefan._front_loop``) is counted by its operator
-    applications (``stefan._apply``, which only the loop calls there), the
-    quadrature passes made while it runs, and its fallbacks to the bracket
-    and Brent (``stefan._bracketed_root``); a tree without these names
-    counts 0 of each. Only a base tree from before the loop became the only
-    front solver has ``_bracketed_root``, so fallbacks read 0 on later trees.
+    applications (``stefan._apply``, which only the loop calls there) and the
+    quadrature passes made while it runs; a tree without the loop counts 0
+    of each.
     """
 
     def __init__(self, side: Side):
         self.side, self._saved = side, []
-        self.solves = self.iterations = self.applications = self.fallbacks = 0
+        self.solves = self.iterations = self.applications = 0
         self.passes = self.loop_passes = 0
         self._in_loop = False
 
@@ -125,9 +124,6 @@ class Counts:
 
     def _applied(self, out):
         self.applications += 1
-
-    def _fell_back(self, out):
-        self.fallbacks += 1
 
     def _integrated(self, out):
         self.passes += 1
@@ -170,7 +166,6 @@ class Counts:
             self._wrap(module, "_cumint", self._integrated)
         if hasattr(s.stefan, "_front_loop"):
             self._wrap(s.stefan, "_apply", self._applied)
-            self._wrap(s.stefan, "_bracketed_root", self._fell_back)
             self._mark_loop(s.stefan)
         return self
 
@@ -268,7 +263,6 @@ def paired(name, layer, sides, build, counted=True):
                 "quadrature_passes_per_call": c.passes / (k * calls),
                 "loop_applications_per_call": c.applications / (k * calls),
                 "loop_quadrature_passes_per_call": c.loop_passes / (k * calls),
-                "loop_fallbacks_per_call": c.fallbacks / (k * calls),
             }
         record["outputs_identical"] = outputs[0] == outputs[1]
     times = [[], []]
